@@ -16,7 +16,6 @@ from .embedding import (
     enumerate_embeddable,
     make_embedding,
     mean_photon_total,
-    symmetric_eigendecomposition,
 )
 from .engine import (
     LossModel,
@@ -52,12 +51,10 @@ from .graphs import (
     OTHER,
     adjacency_for,
     build_adjacency,
-    canonical_form,
     classify,
     connected_components,
     decode_code,
     encode_matrix,
-    is_isomorphic,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

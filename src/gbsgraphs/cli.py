@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import catalog, features, figures, graphs
 from .embedding import (
@@ -93,7 +94,8 @@ _cutoff_option = click.option(
     "--cutoff-pairs", type=int, default=None,
     help="Table truncation in photon pairs.  Default: 8, raised automatically "
          "until the table covers 99% of the distribution.")
-_seed_option = click.option("--seed", type=int, default=0, show_default=True,
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=0,
+                            show_default=True,
                             help="PCG64 seed; reruns are bit-identical.")
 
 
@@ -223,21 +225,19 @@ def cmd_ingest(path, out):
     samples = ingest_samples(path)
     shots = samples.shots
     totals = shots.sum(axis=1)
-    n = len(samples)
-    n_max = features.DEFAULT_MAX_PER_MODE
+    observed, counts = np.unique(totals, return_counts=True)
+    events = features.fv_events_from_samples(samples, observed.tolist())
     report = {
         "path": str(path),
-        "shots": n,
+        "shots": len(samples),
         "code": samples.meta.code,
         "threshold": samples.meta.threshold,
         "loss": samples.meta.loss,
         "mode_totals": [int(x) for x in shots.sum(axis=0)],
-        "total_histogram": {str(k): int((totals == k).sum())
-                            for k in sorted(set(int(t) for t in totals))},
+        "total_histogram": {str(k): int(c) for k, c in zip(observed, counts)},
         "odd_total_fraction": float((totals % 2 == 1).mean()),
-        "event_frequencies": {
-            str(k): float((((totals == k) & (shots <= n_max).all(axis=1))).mean())
-            for k in range(0, int(totals.max(initial=0)) + 1)},
+        "event_frequencies": {str(e.k): float(v)
+                              for e, v in zip(events.labels, events.values)},
     }
     _echo_json(report)
     if out is not None:

@@ -1,9 +1,15 @@
-"""Device embeddability: eigendecomposition, scaling, squeezing, photon budget.
+"""Device embeddability: exact trace test, scaling, squeezing, photon budget.
 
 A coded graph fits the device iff the nonzero singular values of its 4x4
 submatrix are all equal.  The matrix is then rescaled so those values become
 tanh(1), which pins every active two-mode squeezer at parameter r = 1 and
 fixes the per-mode mean photon number at rank * sinh^2(1)/4.
+
+The test is exact integer arithmetic.  For a real symmetric M with
+t2 = tr(M^2) and t4 = tr(M^4), all nonzero eigenvalues share one magnitude
+sigma iff M^3 = sigma^2 M, and then sigma^2 = t4 / t2 and
+rank = t2^2 / t4.  Every graph that passes is ``rank`` identical
+complete-bipartite blocks K_{a,b}, with sigma^2 = a * b.
 """
 
 from __future__ import annotations
@@ -14,70 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
-from .errors import InternalError, NotEmbeddableError, ValidationError
+from .errors import NotEmbeddableError
 
 #: Squeezing parameter forced by the device on every active pair.
 SQUEEZING = 1.0
 
 #: Per-mode mean photon number contributed by a single substructure.
 MEAN_PHOTON_SINGLE = math.sinh(SQUEEZING) ** 2 / 4.0
-
-#: Singular values below this count as zero; nonzero ones must agree within it.
-SINGULAR_TOL = 1e-9
-
-_JACOBI_TOL = 1e-12
-_MAX_SWEEPS = 50
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Factorisation m = basis @ diag(eigenvalues) @ basis.T."""
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.basis @ np.diag(self.eigenvalues) @ self.basis.T
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    # One Jacobi rotation in the (p, q) plane, zeroing a[p, q].
-    theta = 0.5 * math.atan2(2.0 * a[p, q], a[q, q] - a[p, p])
-    c, s = math.cos(theta), math.sin(theta)
-    col_p, col_q = a[:, p].copy(), a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p, row_q = a[p, :].copy(), a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    v_p, v_q = v[:, p].copy(), v[:, q].copy()
-    v[:, p] = c * v_p - s * v_q
-    v[:, q] = s * v_p + c * v_q
-
-
-def symmetric_eigendecomposition(m, tol: float = _JACOBI_TOL) -> EigenDecomposition:
-    """Diagonalise a real symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps the upper triangle, zeroing one off-diagonal entry per rotation,
-    until every off-diagonal magnitude falls below ``tol``.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {a.shape}")
-    if np.abs(a - a.T).max(initial=0.0) > 1e-12:
-        raise ValidationError("matrix must be symmetric within 1e-12")
-    a = a.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    for _ in range(_MAX_SWEEPS):
-        off = np.abs(a - np.diag(np.diagonal(a))).max()
-        if off < tol:
-            return EigenDecomposition(np.diagonal(a).copy(), v)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) >= tol:
-                    _rotate(a, v, p, q)
-    raise InternalError("Jacobi iteration failed to converge")
 
 
 @dataclass(frozen=True)
@@ -93,21 +42,25 @@ class Embeddability:
 def embeddability_check(m) -> Embeddability:
     """Decide whether the submatrix can be prepared with equal squeezing.
 
-    Embeddable iff the matrix is nonzero and all nonzero singular values
-    (absolute eigenvalues, for a real symmetric matrix) coincide; the rank is
-    then the number of active squeezed pairs.
+    Embeddable iff t2 = tr(M^2) > 0 and t2 * M^3 == t4 * M entry by entry,
+    with t4 = tr(M^4); the rank is then the number of active squeezed pairs.
+    Only rejected matrices take a float eigensolver, to list their singular
+    values in the reason.
     """
     m = graphs.validate_submatrix(m)
-    eig = symmetric_eigendecomposition(m)
-    sigma = tuple(sorted((abs(float(x)) for x in eig.eigenvalues), reverse=True))
-    nonzero = [s for s in sigma if s > SINGULAR_TOL]
-    if not nonzero:
+    m2 = m @ m
+    t2, t4 = int(np.trace(m2)), int(np.trace(m2 @ m2))
+    if t2 > 0 and (t2 * (m2 @ m) == t4 * m).all():
+        rank = t2 * t2 // t4
+        sigma = math.sqrt(t4 / t2)
+        return Embeddability(True, rank, (sigma,) * rank + (0.0,) * (4 - rank))
+    sigma = tuple(sorted(np.abs(np.linalg.eigvalsh(m)).tolist(), reverse=True))
+    if t2 == 0:
         return Embeddability(False, 0, sigma, "no edges")
-    if max(nonzero) - min(nonzero) > SINGULAR_TOL:
-        listed = ", ".join(f"{s:.6f}" for s in nonzero)
-        return Embeddability(
-            False, 0, sigma, f"unequal nonzero singular values ({listed})")
-    return Embeddability(True, len(nonzero), sigma)
+    # Nonzero singular values of a 0/1 matrix are far above display precision.
+    listed = ", ".join(f"{s:.6f}" for s in sigma if round(s, 6))
+    return Embeddability(
+        False, 0, sigma, f"unequal nonzero singular values ({listed})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +82,7 @@ def make_embedding(code: str) -> EmbeddingSpec:
     emb = embeddability_check(m)
     if not emb.embeddable:
         raise NotEmbeddableError(code, emb.reason)
-    # The common nonzero singular value, exactly: all nonzero eigenvalues of
-    # M^2 are equal, so rank * sigma^2 = trace(M^2) = number of unit entries.
-    # This keeps the scale bit-identical under mode permutations, which the
-    # Jacobi floats alone would not.
-    sigma = math.sqrt(int(m.sum()) / emb.rank)
-    c = math.tanh(SQUEEZING) / sigma
+    c = math.tanh(SQUEEZING) / emb.singular_values[0]
     return EmbeddingSpec(
         code=code,
         scaled_matrix=c * m,

@@ -82,30 +82,6 @@ def permanent(matrix) -> float:
     return total
 
 
-def permanent_naive(matrix) -> float:
-    """Laplace-expansion permanent, the independent cross-check oracle.
-
-    Exponential in a worse way than Ryser; intended for n <= 6.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"permanent needs a square matrix, got {a.shape}")
-
-    def expand(rows, cols):
-        if not cols:
-            return 1.0
-        i = rows[0]
-        rest = rows[1:]
-        acc = 0.0
-        for idx, j in enumerate(cols):
-            if a[i, j] != 0.0:
-                acc += a[i, j] * expand(rest, cols[:idx] + cols[idx + 1:])
-        return acc
-
-    n = a.shape[0]
-    return expand(tuple(range(n)), tuple(range(n)))
-
-
 # ---------------------------------------------------------------------------
 # Pattern probabilities
 # ---------------------------------------------------------------------------
@@ -418,12 +394,29 @@ def write_samples(samples: SampleSet, path) -> tuple[Path, Path]:
     return path, meta_path
 
 
+def _read_meta(meta_path: Path) -> dict:
+    try:
+        stored = json.loads(meta_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SampleFormatError(meta_path, exc.lineno, f"invalid JSON ({exc.msg})")
+    if not isinstance(stored, dict):
+        raise SampleFormatError(
+            meta_path, 0, f"expected a JSON object, got {type(stored).__name__}")
+    if stored.get("code") is not None:
+        try:
+            graphs.validate_code(stored["code"])
+        except ValidationError as exc:
+            raise SampleFormatError(meta_path, 0, str(exc))
+    return stored
+
+
 def ingest_samples(path) -> SampleSet:
     """Parse a sample file (and its meta companion, when present).
 
     Each line must be a JSON array of exactly 8 nonnegative integers; lines
     starting with ``#`` and blank lines are skipped.  Violations raise with
-    the offending line number.
+    the offending line number.  The meta file must be a JSON object whose
+    ``code``, if not null, is a valid graph code.
     """
     path = Path(path)
     shots = []
@@ -453,7 +446,7 @@ def ingest_samples(path) -> SampleSet:
     meta_kwargs = {"source": "ingested"}
     meta_path = meta_path_for(path)
     if meta_path.exists():
-        stored = json.loads(meta_path.read_text(encoding="utf-8"))
+        stored = _read_meta(meta_path)
         meta_kwargs.update(
             code=stored.get("code"),
             seed=stored.get("seed"),

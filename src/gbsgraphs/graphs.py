@@ -8,7 +8,6 @@ modes (nodes 0-3) to the four idler modes (nodes 4-7) of the device, giving an
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -119,8 +118,8 @@ def build_adjacency(m) -> np.ndarray:
 def _check_adjacency(a) -> np.ndarray:
     """Loose adjacency check: 8x8, symmetric, 0/1, zero diagonal.
 
-    Canonical forms relabel nodes freely, so this deliberately does not
-    require the bipartite block structure.
+    Components and class labels are also asked of freely relabeled graphs,
+    so this deliberately does not require the bipartite block structure.
     """
     a = np.asarray(a)
     if a.shape != (N_NODES, N_NODES):
@@ -192,37 +191,3 @@ def classify(a) -> str:
         return OTHER
     label = f"{len(sigs)}{names.pop()}"
     return label if label in CLASS_LABELS else OTHER
-
-
-_PERMUTATIONS: np.ndarray | None = None
-
-
-def _node_permutations() -> np.ndarray:
-    global _PERMUTATIONS
-    if _PERMUTATIONS is None:
-        _PERMUTATIONS = np.array(
-            list(itertools.permutations(range(N_NODES))), dtype=np.intp)
-    return _PERMUTATIONS
-
-
-def canonical_form(a) -> np.ndarray:
-    """Lexicographically minimal relabeling of ``a`` over all 8! node orders.
-
-    Two 8-node graphs are isomorphic iff their canonical forms are equal.
-    Brute force over 40320 permutations; cheap at this size and free of any
-    refinement heuristics.
-    """
-    a = _check_adjacency(a)
-    perms = _node_permutations()
-    relabeled = a[perms[:, :, None], perms[:, None, :]].astype(np.uint8)
-    flat = relabeled.reshape(len(perms), N_NODES * N_NODES)
-    # Pack each 64-bit adjacency row-major into one big-endian word so that
-    # integer order equals lexicographic matrix order.
-    keys = np.packbits(flat, axis=1).view(">u8").ravel()
-    best = int(np.argmin(keys))
-    return relabeled[best].astype(np.int64)
-
-
-def is_isomorphic(a, b) -> bool:
-    """True iff the two adjacency matrices have equal canonical forms."""
-    return bool(np.array_equal(canonical_form(a), canonical_form(b)))

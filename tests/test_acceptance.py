@@ -16,6 +16,7 @@ from click.testing import CliRunner
 from gbsgraphs import catalog, embedding, engine, features, graphs
 from gbsgraphs.cli import cli
 from gbsgraphs.engine import LossModel
+from oracles import canonical_form
 
 # Reference partition of the 75 embeddable codes into the ten classes.
 REFERENCE_PARTITION = {
@@ -116,7 +117,7 @@ def test_criterion_04_signature_classifier_matches_permutation_oracle(
         embeddable, class_of):
     cells: dict[bytes, set[str]] = {}
     for code, _ in embeddable:
-        key = graphs.canonical_form(graphs.adjacency_for(code)).tobytes()
+        key = canonical_form(graphs.adjacency_for(code)).tobytes()
         cells.setdefault(key, set()).add(code)
     signature_cells = {}
     for code, _ in embeddable:

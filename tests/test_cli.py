@@ -155,6 +155,13 @@ def test_simulate_rejects_non_embeddable_with_reason(tmp_path, runner):
     assert "singular values" in result.output
 
 
+def test_simulate_rejects_negative_seed(tmp_path, runner):
+    result = run_in(tmp_path, runner,
+                    ["simulate", "0000000100", "--shots", "10", "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "--seed" in result.output
+
+
 def test_ingest_round_trip_report(tmp_path, runner):
     run_in(tmp_path, runner,
            ["simulate", "0000000100", "--shots", "250", "--seed", "4",
@@ -189,6 +196,28 @@ def test_ingest_empty_file_is_validation_error(tmp_path, runner):
     empty.write_text("")
     result = run_in(tmp_path, runner, ["ingest", str(empty)])
     assert result.exit_code == 2
+
+
+def test_ingest_huge_count_reports_only_observed_totals(tmp_path, runner):
+    (tmp_path / "big.samples").write_text("[9223372036854775807,0,0,0,0,0,0,0]\n")
+    result = run_in(tmp_path, runner, ["ingest", "big.samples"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["total_histogram"] == {"9223372036854775807": 1}
+    assert report["event_frequencies"] == {"9223372036854775807": 0.0}
+
+
+@pytest.mark.parametrize("meta, message", [
+    ('{"code": "0000000100", "loss": ', "invalid JSON"),
+    ('["0000000100"]', "expected a JSON object, got list"),
+    ('{"code": "12345"}', "10 digits"),
+], ids=["malformed-json", "not-an-object", "bad-code"])
+def test_ingest_bad_meta_is_validation_error(tmp_path, runner, meta, message):
+    (tmp_path / "s.samples").write_text("[1,0,0,0,1,0,0,0]\n")
+    (tmp_path / "s.meta.json").write_text(meta)
+    result = run_in(tmp_path, runner, ["ingest", "s.samples"])
+    assert result.exit_code == 2, result.output
+    assert "s.meta.json" in result.output and message in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -14,56 +14,47 @@ codes_st = st.text(alphabet="01", min_size=10, max_size=10)
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigendecomposition
+# embeddability
 # ---------------------------------------------------------------------------
 
-def test_identity_eigendecomposition():
-    eig = embedding.symmetric_eigendecomposition(np.eye(4))
-    assert np.allclose(sorted(eig.eigenvalues), [1, 1, 1, 1])
-    assert np.abs(eig.basis @ eig.basis.T - np.eye(4)).max() < 1e-10
-
-
 def test_all_ones_matrix_is_rank_one():
-    eig = embedding.symmetric_eigendecomposition(np.ones((4, 4)))
-    assert np.allclose(sorted(eig.eigenvalues), [0, 0, 0, 4], atol=1e-10)
+    emb = embedding.embeddability_check(np.ones((4, 4)))
+    assert emb.embeddable and emb.rank == 1
+    assert emb.singular_values == (4.0, 0.0, 0.0, 0.0)
 
 
 def test_golden_ratio_eigenvalues():
-    m = graphs.decode_code("1100000000")
-    eig = embedding.symmetric_eigendecomposition(m)
-    got = sorted(eig.eigenvalues)
-    assert np.allclose(got, [1.0 - GOLDEN, 0.0, 0.0, GOLDEN], atol=1e-10)
-
-
-def test_reconstruction_for_all_1024_codes():
-    worst = 0.0
-    for code in graphs.all_codes():
-        m = graphs.decode_code(code)
-        eig = embedding.symmetric_eigendecomposition(m)
-        worst = max(worst, np.abs(eig.reconstruct() - m).max())
-        worst = max(worst, np.abs(eig.basis @ eig.basis.T - np.eye(4)).max())
-    assert worst < 1e-10
-
-
-def test_jacobi_matches_numpy_eigh():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        a = rng.normal(size=(4, 4))
-        a = a + a.T
-        eig = embedding.symmetric_eigendecomposition(a)
-        assert np.allclose(sorted(eig.eigenvalues), np.linalg.eigvalsh(a),
-                           atol=1e-9)
-        assert np.abs(eig.reconstruct() - a).max() < 1e-10
+    emb = embedding.embeddability_check(graphs.decode_code("1100000000"))
+    assert np.allclose(emb.singular_values, [GOLDEN, GOLDEN - 1.0, 0.0, 0.0],
+                       atol=1e-10)
 
 
 def test_non_symmetric_input_rejected():
+    m = np.zeros((4, 4), dtype=int)
+    m[0, 1] = 1
     with pytest.raises(ValidationError):
-        embedding.symmetric_eigendecomposition([[0.0, 1.0], [0.5, 0.0]])
+        embedding.embeddability_check(m)
 
 
-# ---------------------------------------------------------------------------
-# embeddability
-# ---------------------------------------------------------------------------
+def _eigvalsh_oracle(m):
+    """(embeddable, rank, sigma) from float eigenvalues and a tolerance."""
+    sv = np.abs(np.linalg.eigvalsh(m.astype(float)))
+    nonzero = sv[sv > 1e-9]
+    if len(nonzero) == 0 or nonzero.max() - nonzero.min() > 1e-9:
+        return False, 0, None
+    return True, len(nonzero), float(nonzero.mean())
+
+
+def test_exact_test_agrees_with_eigvalsh_oracle_on_all_codes():
+    for code in graphs.all_codes():
+        m = graphs.decode_code(code)
+        emb = embedding.embeddability_check(m)
+        ok, rank, sigma = _eigvalsh_oracle(m)
+        assert emb.embeddable == ok, code
+        if ok:
+            assert emb.rank == rank, code
+            assert emb.singular_values[0] == pytest.approx(sigma, rel=1e-12), code
+
 
 def test_complete_bipartite_is_rank_one():
     emb = embedding.embeddability_check(graphs.decode_code("1111111111"))
@@ -74,8 +65,7 @@ def test_complete_bipartite_is_rank_one():
 def test_double_path_is_rank_two():
     emb = embedding.embeddability_check(graphs.decode_code("0110000000"))
     assert emb.embeddable and emb.rank == 2
-    assert emb.singular_values[0] == pytest.approx(math.sqrt(2), abs=1e-10)
-    assert emb.singular_values[1] == pytest.approx(math.sqrt(2), abs=1e-10)
+    assert emb.singular_values == (math.sqrt(2), math.sqrt(2), 0.0, 0.0)
 
 
 def test_golden_ratio_graph_rejected():
@@ -152,8 +142,8 @@ def test_make_embedding_rejects_with_reason():
 
 def test_scaled_singular_values_hit_tanh_one(embeddable):
     for code, spec in embeddable:
-        eig = embedding.symmetric_eigendecomposition(spec.scaled_matrix)
-        nonzero = [abs(x) for x in eig.eigenvalues if abs(x) > 1e-9]
+        eigenvalues = np.linalg.eigvalsh(spec.scaled_matrix)
+        nonzero = [abs(x) for x in eigenvalues if abs(x) > 1e-9]
         assert len(nonzero) == spec.rank
         for sv in nonzero:
             assert abs(sv - math.tanh(1.0)) < 1e-9, code
