@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gbsgraphs import engine, features
+from gbsgraphs import features
 from gbsgraphs.embedding import make_embedding
 from gbsgraphs.engine import LossModel
 
@@ -43,9 +43,7 @@ class ReportConfig:
 
 def orbit_vector(label: str, eta: float) -> np.ndarray:
     spec = make_embedding(REPRESENTATIVES[label])
-    cutoff = engine.min_cutoff_for_mass(spec.rank)
-    fv = features.fv_orbits_analytic(spec, features.DEFAULT_ORBITS,
-                                     LossModel(eta), cutoff)
+    fv = features.fv_orbits_analytic(spec, features.DEFAULT_ORBITS, LossModel(eta))
     return fv.values
 
 

@@ -4,6 +4,9 @@
 Writes into --outdir:
     catalog.json                        all embeddable codes with class/rank/m
     samples/<code>.samples (+ meta)     seeded lossy shots per graph
+
+Graph i of the catalog samples and loses photons on the two independent
+streams SeedSequence(seed).spawn(75)[i].spawn(2).
     fig2.csv / fig2.svg                 one event probability per graph
     fig3.csv / fig3.svg (+ matches)     loss sweep for the connected graph
     fig4.csv / fig4_clusters.csv / svg  orbit-space coordinates and clusters
@@ -16,6 +19,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from gbsgraphs import catalog, engine, figures
 from gbsgraphs.embedding import enumerate_embeddable, make_embedding
@@ -39,15 +44,15 @@ def simulate_all(cfg: PipelineConfig) -> dict[str, Path]:
     sample_dir.mkdir(parents=True, exist_ok=True)
     wanted = set(cfg.codes)
     paths = {}
-    for index, (code, spec) in enumerate(enumerate_embeddable()):
+    specs = enumerate_embeddable()
+    graph_streams = np.random.SeedSequence(cfg.seed).spawn(len(specs))
+    for index, (code, spec) in enumerate(specs):
         if wanted and code not in wanted:
             continue
-        cutoff = engine.min_cutoff_for_mass(spec.rank)
-        table = engine.build_table(spec, cutoff)
-        shots = engine.sample(table, cfg.shots, seed=cfg.seed + 2 * index)
+        sample_stream, loss_stream = graph_streams[index].spawn(2)
+        shots = engine.sample(spec, cfg.shots, sample_stream)
         if cfg.eta < 1.0:
-            shots = engine.apply_loss(shots, LossModel(cfg.eta),
-                                      seed=cfg.seed + 2 * index + 1)
+            shots = engine.apply_loss(shots, LossModel(cfg.eta), loss_stream)
         path = sample_dir / f"{code}.samples"
         engine.write_samples(shots, path)
         paths[code] = path
@@ -76,10 +81,8 @@ def run(cfg: PipelineConfig) -> None:
 
     if cfg.fig3_code in samples:
         spec = make_embedding(cfg.fig3_code)
-        cutoff = engine.min_cutoff_for_mass(spec.rank)
         curve, matches = figures.deviation_rows(samples[cfg.fig3_code], spec,
-                                                step=cfg.step,
-                                                cutoff_pairs=cutoff)
+                                                step=cfg.step)
         figures.write_deviation(curve, cfg.outdir / "fig3.csv",
                                 cfg.outdir / "fig3.svg")
         (cfg.outdir / "fig3_matches.json").write_text(

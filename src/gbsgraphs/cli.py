@@ -23,12 +23,9 @@ from .embedding import (
     mean_photon_total,
 )
 from .engine import (
-    DEFAULT_CUTOFF_PAIRS,
     LossModel,
     apply_loss,
-    build_table,
     ingest_samples,
-    min_cutoff_for_mass,
     sample,
     to_threshold,
     write_samples,
@@ -90,19 +87,9 @@ def _echo_json(payload) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
-_cutoff_option = click.option(
-    "--cutoff-pairs", type=int, default=None,
-    help="Table truncation in photon pairs.  Default: 8, raised automatically "
-         "until the table covers 99% of the distribution.")
 _seed_option = click.option("--seed", type=click.IntRange(min=0), default=0,
                             show_default=True,
                             help="PCG64 seed; reruns are bit-identical.")
-
-
-def _effective_cutoff(rank: int, cutoff_pairs: int | None) -> int:
-    if cutoff_pairs is not None:
-        return cutoff_pairs
-    return min_cutoff_for_mass(rank)
 
 
 @click.group()
@@ -191,28 +178,26 @@ def cmd_embed(code):
               help="Per-photon transmission probability eta in [0, 1]; "
                    "the loss factor is 1 - eta.")
 @click.option("--threshold", is_flag=True, help="Clamp counts to click/no-click.")
-@_cutoff_option
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Sample file path [default: <code>.samples].")
 @_mapped_errors
-def cmd_simulate(code, shots, seed, eta, threshold, cutoff_pairs, out):
+def cmd_simulate(code, shots, seed, eta, threshold, out):
     """Draw seeded samples for an embeddable code and write them to disk.
 
-    The loss stream, when used, is seeded with seed + 1 so that the sampling
-    stream is unchanged by adding loss.
+    Sampling and loss use the two independent children of SeedSequence(seed),
+    so adding --loss leaves the ideal patterns drawn unchanged.
     """
     spec = make_embedding(code)
-    cutoff = _effective_cutoff(spec.rank, cutoff_pairs)
-    table = build_table(spec, cutoff)
-    samples = sample(table, shots, seed)
+    sample_stream, loss_stream = np.random.SeedSequence(seed).spawn(2)
+    samples = sample(spec, shots, sample_stream)
     if eta is not None:
-        samples = apply_loss(samples, LossModel(eta), seed + 1)
+        samples = apply_loss(samples, LossModel(eta), loss_stream)
     if threshold:
         samples = to_threshold(samples)
     out = Path(out) if out is not None else Path(f"{code}.samples")
     sample_path, meta_path = write_samples(samples, out)
-    click.echo(f"wrote {shots} shots to {sample_path} (meta: {meta_path}, "
-               f"cutoff {cutoff}, covered mass {table.covered_mass:.6f})")
+    click.echo(f"wrote {shots} shots of the exact law to {sample_path} "
+               f"(meta: {meta_path})")
 
 
 @cli.command("ingest")
@@ -233,7 +218,7 @@ def cmd_ingest(path, out):
         "code": samples.meta.code,
         "threshold": samples.meta.threshold,
         "loss": samples.meta.loss,
-        "mode_totals": [int(x) for x in shots.sum(axis=0)],
+        "mode_totals": [int(x) for x in shots.sum(axis=0, dtype=object)],
         "total_histogram": {str(k): int(c) for k, c in zip(observed, counts)},
         "odd_total_fraction": float((totals % 2 == 1).mean()),
         "event_frequencies": {str(e.k): float(v)
@@ -273,11 +258,10 @@ def _fv_rows(code, label, fv):
               help="Semicolon list of orbits, e.g. '1,1,1;2,1,1'.")
 @click.option("--loss", "eta", type=float, default=None,
               help="Transmission eta for the analytic vector.")
-@_cutoff_option
 @click.option("--out", type=click.Path(dir_okay=False), default="fv.csv",
               show_default=True)
 @_mapped_errors
-def cmd_fv(sample_paths, code, events, n_max, orbits, eta, cutoff_pairs, out):
+def cmd_fv(sample_paths, code, events, n_max, orbits, eta, out):
     """Feature vectors from sample files and/or the analytic distribution."""
     if not sample_paths and code is None:
         raise ValidationError("need --samples and/or --code")
@@ -298,16 +282,14 @@ def cmd_fv(sample_paths, code, events, n_max, orbits, eta, cutoff_pairs, out):
             rows.extend(_fv_rows(sample_code, label, fv))
     if code is not None:
         spec = make_embedding(code)
-        cutoff = _effective_cutoff(spec.rank, cutoff_pairs)
         loss = LossModel(eta) if eta is not None else None
         label = graphs.classify(graphs.adjacency_for(code))
         if events is not None:
             fv = features.fv_events_analytic(
-                spec, _parse_events(events), n_max, loss, cutoff)
+                spec, _parse_events(events), n_max, loss)
             rows.extend(_fv_rows(code, label, fv))
         if orbits is not None:
-            fv = features.fv_orbits_analytic(
-                spec, _parse_orbits(orbits), loss, cutoff)
+            fv = features.fv_orbits_analytic(spec, _parse_orbits(orbits), loss)
             rows.extend(_fv_rows(code, label, fv))
     with Path(out).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -327,22 +309,19 @@ def cmd_fv(sample_paths, code, events, n_max, orbits, eta, cutoff_pairs, out):
               show_default=True)
 @click.option("--step", type=float, default=0.01, show_default=True,
               help="Loss-factor grid step.")
-@_cutoff_option
 @click.option("--out", type=click.Path(dir_okay=False), default="deviation.csv",
               show_default=True)
 @_mapped_errors
-def cmd_deviation(sample_path, code, events, n_max, step, cutoff_pairs, out):
+def cmd_deviation(sample_path, code, events, n_max, step, out):
     """Relative deviation of a sampled event FV from theory over a loss sweep."""
     samples = ingest_samples(sample_path)
     code = code or samples.meta.code
     if code is None:
         raise ValidationError("no code given and none recorded in the metadata")
     spec = make_embedding(code)
-    cutoff = _effective_cutoff(spec.rank, cutoff_pairs)
     event_list = (_parse_events(events) if events is not None
                   else list(features.DEFAULT_EVENTS))
-    curve, matches = figures.deviation_rows(
-        samples, spec, event_list, n_max, step, cutoff)
+    curve, matches = figures.deviation_rows(samples, spec, event_list, n_max, step)
     figures.write_deviation(curve, out)
     _echo_json({"code": code, "matched_loss_factor": matches})
     click.echo(f"wrote deviation grid to {out}")
@@ -371,7 +350,6 @@ def _load_sample_dir(directory, codes):
 @click.option("--event", "event_k", type=int, default=6, show_default=True,
               help="Event total plotted by fig2.")
 @click.option("--step", type=float, default=0.01, show_default=True)
-@_cutoff_option
 @click.option("--out-prefix", default=None,
               help="Output prefix [default: the figure name].")
 @click.option("--format", "fmt", type=click.Choice(["csv", "svg"]),
@@ -379,7 +357,7 @@ def _load_sample_dir(directory, codes):
               help="'csv' skips the SVG rendering.")
 @_mapped_errors
 def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
-               cutoff_pairs, out_prefix, fmt):
+               out_prefix, fmt):
     """Emit the data (CSV) and rendering (SVG) behind one figure."""
     prefix = out_prefix or name
     csv_path = Path(f"{prefix}.csv")
@@ -390,9 +368,7 @@ def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
         if samples_dir is None:
             raise ValidationError("fig2 needs --samples-dir")
         samples_by_code = _load_sample_dir(samples_dir, code_list)
-        cutoff = cutoff_pairs if cutoff_pairs is not None else DEFAULT_CUTOFF_PAIRS
-        rows = figures.event_by_class_rows(samples_by_code, event_k,
-                                           cutoff_pairs=cutoff)
+        rows = figures.event_by_class_rows(samples_by_code, event_k)
         paths = figures.write_event_by_class(rows, csv_path, svg_path, event_k)
     elif name == "fig3":
         if sample_path is None:
@@ -402,9 +378,7 @@ def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
         if code is None:
             raise ValidationError("no code given and none recorded in the metadata")
         spec = make_embedding(code)
-        cutoff = _effective_cutoff(spec.rank, cutoff_pairs)
-        curve, matches = figures.deviation_rows(samples, spec, step=step,
-                                                cutoff_pairs=cutoff)
+        curve, matches = figures.deviation_rows(samples, spec, step=step)
         paths = figures.write_deviation(curve, csv_path, svg_path)
         _echo_json({"code": code, "matched_loss_factor": matches})
     else:

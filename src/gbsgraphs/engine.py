@@ -1,20 +1,21 @@
-"""Exact pattern probabilities, truncated tables, seeded sampling, and loss.
+"""Exact pattern probabilities, the product law, seeded sampling, and loss.
 
-Pattern probabilities for an embedded graph reduce to squared permanents of
-the scaled submatrix with rows and columns repeated by the photon counts.
-Tables enumerate every pattern up to a photon-pair cutoff; sampling is
-inverse-CDF over the renormalised truncated table with a seeded PCG64 stream
-(``numpy.random.default_rng``), which is bit-reproducible for a fixed numpy
-version.  Independent streams for chained transforms should be derived with
-``numpy.random.SeedSequence(seed).spawn``; the CLI simply uses seed + 1 for
-the loss stage.
+``pattern_probability`` and ``build_table`` compute pattern probabilities as
+the paper does, from permanents, and serve as the reference.  Every
+embeddable graph is ``rank`` identical K_{a,b} blocks, each one squeezer at
+r = 1 whose n photon pairs split uniformly over the block's modes, so the
+law factorises per block: ``detected_probabilities`` and ``sample`` use that
+product law, with no table and a series whose dropped mass is below 1e-40.
+Sampling uses seeded PCG64 streams, bit-reproducible for a fixed numpy
+version; the CLI and ``scripts/run_pipeline.py`` draw sampling and loss from
+the independent streams ``numpy.random.SeedSequence(seed).spawn(2)``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,25 @@ MAX_PERMANENT_SIZE = 16
 #: Default table truncation, in photon pairs (16 photons).
 DEFAULT_CUTOFF_PAIRS = 8
 
-#: Tables below this covered mass refuse to drive the sampler.
-MIN_SAMPLING_MASS = 0.99
-
 _SECH = 1.0 / math.cosh(SQUEEZING)
 _TANH = math.tanh(SQUEEZING)
+
+#: Pair numbers a block's series carries; the dropped mass is SERIES_TAIL.
+PAIR_DEPTH = 169
+
+#: Probability that one block emits more than PAIR_DEPTH pairs (< 1e-40).
+SERIES_TAIL = _TANH ** (2 * (PAIR_DEPTH + 1))
+
+# k and log k! for every index the series take: up to 2 * rank * PAIR_DEPTH.
+_COUNTS = np.arange(8 * PAIR_DEPTH + 1)
+_LOG_FACT = np.array([math.lgamma(k + 1) for k in range(len(_COUNTS))])
+_FACT = np.array([float(math.factorial(k)) for k in range(PAIR_DEPTH + 1)])
+
+# log of the negative-binomial pair law for each rank, up to 4 * PAIR_DEPTH.
+_PAIRS = _COUNTS[:4 * PAIR_DEPTH + 1]
+_LOG_PAIR_LAW = {rank: (_LOG_FACT[_PAIRS + rank - 1] - _LOG_FACT[rank - 1]
+                        - _LOG_FACT[_PAIRS] + rank * math.log(_SECH ** 2)
+                        + _PAIRS * math.log(_TANH ** 2)) for rank in range(1, 5)}
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +162,12 @@ def total_photon_tail(rank: int, cutoff_pairs: int) -> float:
         total_photon_distribution(rank, s) for s in range(cutoff_pairs + 1))
 
 
-def min_cutoff_for_mass(rank: int, mass: float = MIN_SAMPLING_MASS,
+def min_cutoff_for_mass(rank: int, mass: float = 0.99,
                         floor: int = DEFAULT_CUTOFF_PAIRS) -> int:
     """Smallest cutoff (at least ``floor``) whose covered mass reaches ``mass``.
 
     The mean photon number grows with rank, so higher ranks need deeper
-    tables than the rank-1 default before they may drive the sampler.
+    tables than the rank-1 default to cover the same share of the law.
     """
     cutoff = floor
     while 1.0 - total_photon_tail(rank, cutoff) < mass:
@@ -162,6 +177,104 @@ def min_cutoff_for_mass(rank: int, mass: float = MIN_SAMPLING_MASS,
     return cutoff
 
 
+def detected_total_probability(rank: int, k: int, eta: float = 1.0) -> float:
+    """Probability of detecting k photons in total after uniform loss eta.
+
+    Exact without loss.  Otherwise the negative-binomial pair law with both
+    photons of each pair thinned is summed in log space to rank * PAIR_DEPTH
+    pairs, which drops less than rank * SERIES_TAIL.
+    """
+    if eta == 1.0:
+        return total_photon_distribution(rank, k // 2) if k % 2 == 0 else 0.0
+    if eta == 0.0 or k > 2 * rank * PAIR_DEPTH:    # all lost, or beyond the series
+        return float(k == 0)
+    lo, hi = (k + 1) // 2, rank * PAIR_DEPTH + 1        # pair numbers lo..hi-1
+    lost = slice(2 * lo - k, 2 * hi - k, 2)             # photons lost, 2 p - k
+    log_terms = (_LOG_PAIR_LAW[rank][lo:hi] + _LOG_FACT[2 * lo:2 * hi:2]
+                 - _LOG_FACT[lost] + _COUNTS[lost] * math.log1p(-eta)
+                 + (k * math.log(eta) - _LOG_FACT[k]))
+    return float(np.exp(log_terms).sum())
+
+
+# ---------------------------------------------------------------------------
+# Product law of the K_{a,b} blocks
+# ---------------------------------------------------------------------------
+
+def blocks(spec: EmbeddingSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(signal modes 0-3, idler modes 4-7) of each K_{a,b} block of a graph."""
+    parts = graphs.connected_components(graphs.adjacency_for(spec.code))
+    return [(tuple(n for n in nodes if n < 4), tuple(n for n in nodes if n >= 4))
+            for nodes, sig in parts if sig.node_count > 1]
+
+
+def pair_matrix(eta: float, size: int) -> np.ndarray:
+    """P[S, D], S, D <= size: a block detects S signal and D idler photons,
+    sum over n <= PAIR_DEPTH of sech^2(1) tanh^(2n)(1) Bin(S; n, eta)
+    Bin(D; n, eta)."""
+    n, k = np.arange(PAIR_DEPTH + 1), np.arange(size + 1)[:, None]
+    lost = np.maximum(n - k, 0)
+    binomial = np.exp(_LOG_FACT[n] - _LOG_FACT[np.minimum(k, n)] - _LOG_FACT[lost])
+    thin = np.where(n >= k, binomial * eta ** k * (1.0 - eta) ** lost, 0.0)
+    return (thin * (_SECH ** 2 * _TANH ** (2 * n))) @ thin.T
+
+
+def detected_probabilities(spec: EmbeddingSpec, patterns,
+                           eta: float = 1.0) -> np.ndarray:
+    """Exact probability of each detected pattern after uniform loss eta.
+
+    A block whose sides detect S and D photons contributes P[S, D] (see
+    ``pair_matrix``) times the two uniform multinomial splits, which equals
+    ``pattern_probability`` thinned per mode up to rank * SERIES_TAIL.
+    """
+    pats = np.asarray(patterns, dtype=np.int64).reshape(-1, graphs.N_NODES)
+    if (pats < 0).any():
+        raise ValidationError("pattern counts must be nonnegative")
+    sides = [list(modes) for block in blocks(spec) for modes in block]
+    totals = np.array([pats[:, modes].sum(axis=1) for modes in sides])
+    # A side total above PAIR_DEPTH lies wholly in the dropped tail, and a
+    # photon outside every block never occurs: both get probability 0.
+    live = ((pats <= PAIR_DEPTH).all(axis=1) & (totals <= PAIR_DEPTH).all(axis=0)
+            & ~np.delete(pats, sum(sides, []), axis=1).any(axis=1))
+    pats, totals = np.where(live[:, None], pats, 0), np.where(live, totals, 0)
+    pair = pair_matrix(eta, int(totals.max(initial=0)))
+    prob = live.astype(float)
+    for modes, total in zip(sides, totals):
+        # The uniform split: a multinomial coefficient over len(modes)^total.
+        prob *= (_FACT[total] / _FACT[pats[:, modes]].prod(axis=1)
+                 / float(len(modes)) ** total)
+    for signal, idler in zip(totals[::2], totals[1::2]):
+        prob *= pair[signal, idler]
+    return prob
+
+
+def _within_cap(modes: int, n_max: int, size: int) -> np.ndarray:
+    # c[S], S <= size: chance that S photons spread uniformly over ``modes``
+    # modes put none above n_max, S!/modes^S [t^S] (sum_{j<=n_max} t^j/j!)^modes.
+    power = np.eye(1, size + 1)[0]
+    for _ in range(modes):
+        power = np.convolve(power, 1.0 / _FACT[:min(n_max, size) + 1])[:size + 1]
+    return power * _FACT[:size + 1] / float(modes) ** np.arange(size + 1)
+
+
+def capped_event_probabilities(spec: EmbeddingSpec, events: list[int],
+                               n_max: int, eta: float = 1.0) -> np.ndarray:
+    """P(k photons detected, none above n_max on any mode) for each k.
+
+    The sum over the event's member patterns, grouped by block: sides that
+    detect S and D photons contribute P[S, D] times the chances that both
+    splits stay within the cap.  No member is listed, so cost stays bounded.
+    """
+    size = min(max(events), 4 * n_max, PAIR_DEPTH)
+    pair, side = pair_matrix(eta, size), np.arange(size + 1)
+    law = np.ones(1)
+    for sig, idl in blocks(spec):
+        block = (pair * _within_cap(len(sig), n_max, size)[:, None]
+                 * _within_cap(len(idl), n_max, size)[None, :])
+        law = np.convolve(law, np.bincount((side[:, None] + side).ravel(),
+                                           weights=block.ravel()))
+    return np.array([law[k] if k < len(law) else 0.0 for k in events])
+
+
 # ---------------------------------------------------------------------------
 # Truncated probability tables
 # ---------------------------------------------------------------------------
@@ -169,15 +282,13 @@ def min_cutoff_for_mass(rank: int, mass: float = MIN_SAMPLING_MASS,
 @dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """Every pattern with signal total = idler total <= cutoff, with its
-    exact probability.  Patterns are sorted lexicographically, so the table
-    doubles as the deterministic entry order for inverse-CDF sampling."""
+    exact probability, sorted lexicographically."""
 
     spec: EmbeddingSpec
     cutoff_pairs: int
     patterns: np.ndarray        # (N, 8) int64
     probs: np.ndarray           # (N,) float64
     covered_mass: float
-    low_coverage: bool          # warning flag: covered_mass < 0.99
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -253,14 +364,12 @@ def build_table(spec: EmbeddingSpec,
     items = sorted(entries.items())
     patterns = np.array([p for p, _ in items], dtype=np.int64)
     probs = np.array([v for _, v in items], dtype=float)
-    covered = float(probs.sum())
     return ProbabilityTable(
         spec=spec,
         cutoff_pairs=cutoff_pairs,
         patterns=patterns,
         probs=probs,
-        covered_mass=covered,
-        low_coverage=covered < MIN_SAMPLING_MASS,
+        covered_mass=float(probs.sum()),
     )
 
 
@@ -290,20 +399,9 @@ class SampleMeta:
     seed: int | None = None
     loss: float | None = None         # effective transmission eta, if thinned
     threshold: bool = False
-    cutoff_pairs: int | None = None
-    covered_mass: float | None = None
 
     def to_json_dict(self, shots: int) -> dict:
-        return {
-            "code": self.code,
-            "source": self.source,
-            "seed": self.seed,
-            "loss": self.loss,
-            "threshold": self.threshold,
-            "shots": shots,
-            "cutoff_pairs": self.cutoff_pairs,
-            "covered_mass": self.covered_mass,
-        }
+        return {**asdict(self), "shots": shots}
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,38 +415,31 @@ class SampleSet:
         return len(self.shots)
 
 
-def sample(table: ProbabilityTable, shots: int, seed: int) -> SampleSet:
-    """Draw i.i.d. patterns from the renormalised truncated table.
+def sample(spec: EmbeddingSpec, shots: int,
+           seed: int | np.random.SeedSequence) -> SampleSet:
+    """Draw i.i.d. patterns from the exact product law.
 
-    Inverse-CDF over the lexicographically ordered entries with a PCG64
-    uniform stream: the same (table, shots, seed) always reproduces the same
-    shot list bit for bit.
+    Each block draws ``rng.geometric(sech^2(1)) - 1`` pairs, then one uniform
+    multinomial split per side.  ``seed`` is an int or a SeedSequence spawned
+    from one, whose int the meta records; the same (spec, shots, seed) always
+    reproduces the same shots bit for bit.
     """
+    spec = getattr(spec, "spec", spec)  # a ProbabilityTable stands for its spec
     if shots <= 0:
         raise ValidationError(f"shots must be >= 1, got {shots}")
-    if table.covered_mass < MIN_SAMPLING_MASS:
-        raise ValidationError(
-            f"table covers only {table.covered_mass:.4f} of the distribution; "
-            f"raise cutoff_pairs")
-    cdf = np.cumsum(table.probs)
-    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    idx = np.searchsorted(cdf, rng.random(shots), side="right")
-    return SampleSet(
-        shots=table.patterns[idx].copy(),
-        meta=SampleMeta(
-            source="simulated",
-            code=table.spec.code,
-            seed=seed,
-            loss=None,
-            threshold=False,
-            cutoff_pairs=table.cutoff_pairs,
-            covered_mass=table.covered_mass,
-        ),
-    )
+    out = np.zeros((shots, graphs.N_NODES), dtype=np.int64)
+    for block in blocks(spec):
+        pairs = rng.geometric(_SECH ** 2, size=shots) - 1
+        for modes in block:
+            out[:, modes] = rng.multinomial(pairs, [1.0 / len(modes)] * len(modes))
+    if isinstance(seed, np.random.SeedSequence):
+        seed = seed.entropy
+    return SampleSet(shots=out, meta=SampleMeta("simulated", spec.code, seed))
 
 
-def apply_loss(samples: SampleSet, loss: LossModel, seed: int) -> SampleSet:
+def apply_loss(samples: SampleSet, loss: LossModel,
+               seed: int | np.random.SeedSequence) -> SampleSet:
     """Binomial thinning: each photon survives independently with prob eta.
 
     Thinning twice composes multiplicatively, so the recorded transmission is
@@ -394,9 +485,21 @@ def write_samples(samples: SampleSet, path) -> tuple[Path, Path]:
     return path, meta_path
 
 
+# Accepted meta values; type(), as JSON true/false load as bool, an int subclass.
+_META_RULES = {
+    "loss": (lambda v: v is None or (type(v) in (int, float) and 0 <= v <= 1),
+             "null or a number in [0, 1]"),
+    "seed": (lambda v: v is None or (type(v) is int and v >= 0),
+             "null or an integer >= 0"),
+    "threshold": (lambda v: type(v) is bool, "true or false"),
+}
+
+
 def _read_meta(meta_path: Path) -> dict:
     try:
         stored = json.loads(meta_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise SampleFormatError(meta_path, 0, "not valid UTF-8")
     except json.JSONDecodeError as exc:
         raise SampleFormatError(meta_path, exc.lineno, f"invalid JSON ({exc.msg})")
     if not isinstance(stored, dict):
@@ -407,22 +510,31 @@ def _read_meta(meta_path: Path) -> dict:
             graphs.validate_code(stored["code"])
         except ValidationError as exc:
             raise SampleFormatError(meta_path, 0, str(exc))
+    for key, rule in _META_RULES.items():
+        if key in stored and not rule[0](stored[key]):
+            raise SampleFormatError(
+                meta_path, 0, f"{key} must be {rule[1]}, got {stored[key]!r}")
     return stored
 
 
 def ingest_samples(path) -> SampleSet:
     """Parse a sample file (and its meta companion, when present).
 
-    Each line must be a JSON array of exactly 8 nonnegative integers; lines
-    starting with ``#`` and blank lines are skipped.  Violations raise with
-    the offending line number.  The meta file must be a JSON object whose
-    ``code``, if not null, is a valid graph code.
+    Each line must be UTF-8 holding a JSON array of exactly 8 nonnegative
+    integers summing to at most 2^63 - 1; lines starting with ``#`` and
+    blank lines are skipped.  Violations raise with the offending line
+    number.  The meta file must be a UTF-8 JSON object whose ``code`` is
+    null or a valid graph code and whose ``loss``, ``seed`` and
+    ``threshold`` keep ``_META_RULES``; other keys are ignored.
     """
     path = Path(path)
     shots = []
-    with path.open(encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise SampleFormatError(path, lineno, "not valid UTF-8")
             if not line or line.startswith("#"):
                 continue
             try:
@@ -439,6 +551,9 @@ def ingest_samples(path) -> SampleSet:
                     raise SampleFormatError(path, lineno, f"count {c!r} is not an integer")
                 if c < 0:
                     raise SampleFormatError(path, lineno, f"count {c} is negative")
+            if sum(value) > 2 ** 63 - 1:
+                raise SampleFormatError(
+                    path, lineno, "counts sum to more than 2^63 - 1")
             shots.append(value)
     if not shots:
         raise SampleFormatError(path, 0, "file contains no samples")
@@ -447,14 +562,8 @@ def ingest_samples(path) -> SampleSet:
     meta_path = meta_path_for(path)
     if meta_path.exists():
         stored = _read_meta(meta_path)
-        meta_kwargs.update(
-            code=stored.get("code"),
-            seed=stored.get("seed"),
-            loss=stored.get("loss"),
-            threshold=bool(stored.get("threshold", False)),
-            cutoff_pairs=stored.get("cutoff_pairs"),
-            covered_mass=stored.get("covered_mass"),
-        )
+        read = ("code", "seed", "loss", "threshold")
+        meta_kwargs.update({key: stored[key] for key in read if key in stored})
     arr = np.array(shots, dtype=np.int64)
     if meta_kwargs.get("threshold") and (arr > 1).any():
         raise SampleFormatError(

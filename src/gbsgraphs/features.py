@@ -4,14 +4,13 @@ An event (k, n_max) collects every pattern with total k and no mode above
 n_max; an orbit is the nonincreasing multiset of nonzero counts, i.e. the
 pattern up to mode permutation.  Feature vectors list probabilities of chosen
 events or orbits and come in two provenances: ``sampled`` (frequencies from a
-shot list) and ``analytic`` (exact sums over the truncated table or the
-closed-form pair-number law, thinned per mode when a loss model is given).
+shot list) and ``analytic`` (exact values of the product law in ``engine``,
+thinned per photon when a loss model is given).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import engine, graphs
 from .embedding import EmbeddingSpec
-from .engine import DEFAULT_CUTOFF_PAIRS, LossModel, ProbabilityTable, SampleSet
+from .engine import LossModel, SampleSet
 from .errors import ValidationError
 
 #: Event totals the analysis defaults to (odd totals vanish without loss).
@@ -87,7 +86,7 @@ class FeatureVector:
     provenance: str               # "sampled" | "analytic"
     loss_eta: float
     stat_error: np.ndarray | None = None   # binomial, sampled only
-    tail_bound: np.ndarray | None = None   # truncation bound, analytic only
+    tail_bound: np.ndarray | None = None   # dropped series mass, analytic only
 
 
 def format_label(label) -> str:
@@ -152,65 +151,17 @@ def fv_orbits_from_samples(samples: SampleSet,
 # Analytic feature vectors
 # ---------------------------------------------------------------------------
 
-def _binomial_pmf_matrix(t_max: int, k_max: int, eta: float) -> np.ndarray:
-    """pmf[t, k] = C(t, k) eta^k (1-eta)^(t-k); zero above the diagonal."""
-    pmf = np.zeros((t_max + 1, k_max + 1))
-    for t in range(t_max + 1):
-        for k in range(min(t, k_max) + 1):
-            pmf[t, k] = math.comb(t, k) * eta ** k * (1.0 - eta) ** (t - k)
-    return pmf
-
-
-def _thinned_pattern_mass(table: ProbabilityTable, detected: np.ndarray,
-                          eta: float) -> np.ndarray:
-    """For each detected pattern, its probability after per-mode thinning.
-
-    Sums P_ideal(t) * prod_j Binom(detected_j; t_j, eta) over the table.
-    """
-    if len(detected) == 0:
-        return np.zeros(0)
-    pats = table.patterns
-    t_max = int(pats.max(initial=0))
-    k_max = int(detected.max(initial=0))
-    pmf = _binomial_pmf_matrix(t_max, max(t_max, k_max), eta)
-    out = np.zeros(len(detected))
-    chunk = 128
-    for lo in range(0, len(detected), chunk):
-        block = detected[lo:lo + chunk]
-        w = np.ones((len(pats), len(block)))
-        for j in range(graphs.N_NODES):
-            w *= pmf[pats[:, j][:, None], block[None, :, j]]
-        out[lo:lo + chunk] = table.probs @ w
-    return out
-
-
-def _compositions_capped(total: int, parts: int, cap: int):
-    """All nonnegative integer vectors of the given length, sum, and cap."""
-    if parts == 1:
-        if total <= cap:
-            yield (total,)
-        return
-    for first in range(min(total, cap) + 1):
-        for rest in _compositions_capped(total - first, parts - 1, cap):
-            yield (first,) + rest
-
-
-def _event_member_patterns(k: int, n_max: int) -> np.ndarray:
-    members = list(_compositions_capped(k, graphs.N_NODES, n_max))
-    return np.array(members, dtype=np.int64).reshape(len(members), graphs.N_NODES)
-
-
 def fv_events_analytic(spec: EmbeddingSpec, events: Sequence[int],
                        n_max: int = DEFAULT_MAX_PER_MODE,
                        loss: LossModel | None = None,
-                       cutoff_pairs: int = DEFAULT_CUTOFF_PAIRS) -> FeatureVector:
-    """Exact event probabilities, truncated at ``cutoff_pairs`` pairs.
+                       cutoff_pairs: int | None = None) -> FeatureVector:
+    """Exact event probabilities.
 
-    With the cap inactive (n_max >= k) the total-count law applies directly:
-    lossless events are the pair-number probabilities on even totals, and a
-    loss model binomially redistributes each ideal total.  A binding cap
-    falls back to enumeration over the thinned table.  The reported
-    tail_bound is the truncated ideal mass, an upper bound on the error.
+    An open cap (n_max >= k) reads the total-count law, exact with
+    tail_bound 0 when lossless; a binding cap sums the product law per
+    block.  Other values report tail_bound rank * SERIES_TAIL, an upper
+    bound on the mass their series drop.  ``cutoff_pairs`` is accepted
+    and unused.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
@@ -218,73 +169,39 @@ def fv_events_analytic(spec: EmbeddingSpec, events: Sequence[int],
     events = [int(k) for k in events]
     if any(k < 0 for k in events):
         raise ValidationError("event totals must be nonnegative")
-    if any(k > 2 * cutoff_pairs for k in events):
-        raise ValidationError(
-            f"event totals beyond 2*cutoff_pairs={2 * cutoff_pairs} are all tail")
-    tail = engine.total_photon_tail(spec.rank, cutoff_pairs)
-
-    table = None
-    values, bounds = [], []
-    for k in events:
-        if n_max >= k:
-            if eta == 1.0:
-                value = (engine.total_photon_distribution(spec.rank, k // 2)
-                         if k % 2 == 0 else 0.0)
-                bound = 0.0
-            else:
-                value = math.fsum(
-                    engine.total_photon_distribution(spec.rank, pairs)
-                    * math.comb(2 * pairs, k)
-                    * eta ** k * (1.0 - eta) ** (2 * pairs - k)
-                    for pairs in range((k + 1) // 2, cutoff_pairs + 1))
-                bound = tail
-        else:
-            if table is None:
-                table = engine.build_table(spec, cutoff_pairs)
-            members = _event_member_patterns(k, n_max)
-            value = float(_thinned_pattern_mass(table, members, eta).sum())
-            bound = tail
-        values.append(value)
-        bounds.append(bound)
+    capped = [k for k in events if k > n_max]
+    capped_values = (dict(zip(capped, engine.capped_event_probabilities(
+        spec, capped, n_max, eta))) if capped else {})
+    values = [capped_values[k] if k > n_max
+              else engine.detected_total_probability(spec.rank, k, eta)
+              for k in events]
+    series_tail = spec.rank * engine.SERIES_TAIL
     return FeatureVector(
         labels=tuple(EventSpec(k, n_max) for k in events),
-        values=np.array(values),
+        values=np.array(values, dtype=float),
         provenance="analytic",
         loss_eta=eta,
-        tail_bound=np.array(bounds),
+        tail_bound=np.array([0.0 if k <= n_max and eta == 1.0 else series_tail
+                             for k in events]),
     )
 
 
 def fv_orbits_analytic(spec: EmbeddingSpec, orbits: Sequence[OrbitId],
                        loss: LossModel | None = None,
-                       cutoff_pairs: int = DEFAULT_CUTOFF_PAIRS) -> FeatureVector:
-    """Exact orbit probabilities from the truncated table.
-
-    Without loss this sums table entries over the orbit; with loss each ideal
-    pattern is convolved with per-mode binomial thinning onto the orbit's
-    member patterns.
-    """
+                       cutoff_pairs: int | None = None) -> FeatureVector:
+    """Exact orbit probabilities: the product law summed over each orbit's
+    member patterns, tail_bound rank * SERIES_TAIL.  ``cutoff_pairs`` is
+    accepted and unused."""
     eta = 1.0 if loss is None else loss.eta
     orbits = [validate_orbit(o) for o in orbits]
-    table = engine.build_table(spec, cutoff_pairs)
-    tail = engine.total_photon_tail(spec.rank, cutoff_pairs)
-    values = []
-    if eta == 1.0:
-        by_orbit: dict[OrbitId, float] = {}
-        for pattern, prob in zip(table.patterns, table.probs):
-            key = tuple(sorted((int(c) for c in pattern if c > 0), reverse=True))
-            by_orbit[key] = by_orbit.get(key, 0.0) + prob
-        values = [by_orbit.get(o, 0.0) for o in orbits]
-    else:
-        for orbit in orbits:
-            members = orbit_patterns(orbit)
-            values.append(float(_thinned_pattern_mass(table, members, eta).sum()))
+    values = [float(engine.detected_probabilities(spec, orbit_patterns(o), eta).sum())
+              for o in orbits]
     return FeatureVector(
         labels=tuple(orbits),
         values=np.array(values),
         provenance="analytic",
         loss_eta=eta,
-        tail_bound=np.full(len(orbits), tail),
+        tail_bound=np.full(len(orbits), spec.rank * engine.SERIES_TAIL),
     )
 
 
@@ -310,8 +227,7 @@ def _require_sampled_events(sampled: FeatureVector) -> None:
 
 
 def relative_deviation(sampled: FeatureVector, spec: EmbeddingSpec,
-                       transmissions: Sequence[float],
-                       cutoff_pairs: int = DEFAULT_CUTOFF_PAIRS) -> DeviationCurve:
+                       transmissions: Sequence[float]) -> DeviationCurve:
     """(sampled - theory(eta)) / theory(eta) per component over an eta grid.
 
     Rows are ordered by increasing loss factor 1 - eta.  Components whose
@@ -328,8 +244,7 @@ def relative_deviation(sampled: FeatureVector, spec: EmbeddingSpec,
     n_max = sampled.labels[0].n_max
     rows, mask = [], []
     for eta in etas:
-        theory = fv_events_analytic(spec, events, n_max,
-                                    LossModel(eta), cutoff_pairs)
+        theory = fv_events_analytic(spec, events, n_max, LossModel(eta))
         defined = theory.values >= DEVIATION_FLOOR
         row = np.where(defined,
                        (sampled.values - theory.values)
@@ -348,12 +263,12 @@ def relative_deviation(sampled: FeatureVector, spec: EmbeddingSpec,
 def match_loss(sampled: FeatureVector, spec: EmbeddingSpec,
                component_index: int, step: float = 0.01,
                tol: float = 1e-4,
-               cutoff_pairs: int = DEFAULT_CUTOFF_PAIRS) -> float | None:
+               cutoff_pairs: int | None = None) -> float | None:
     """Loss factor where one component's deviation changes sign.
 
     Scans a loss-factor grid for a sign change of sampled - theory, then
     bisects the bracketing interval down to ``tol``.  Returns None when the
-    grid shows no sign change.
+    grid shows no sign change.  ``cutoff_pairs`` is accepted and unused.
     """
     _require_sampled_events(sampled)
     if not 0 <= component_index < len(sampled.labels):
@@ -363,7 +278,7 @@ def match_loss(sampled: FeatureVector, spec: EmbeddingSpec,
 
     def residual(loss_factor: float) -> float:
         theory = fv_events_analytic(spec, [label.k], label.n_max,
-                                    LossModel(1.0 - loss_factor), cutoff_pairs)
+                                    LossModel(1.0 - loss_factor))
         return target - float(theory.values[0])
 
     grid = [min(float(x), 1.0) for x in np.arange(0.0, 1.0 + step / 2, step)]

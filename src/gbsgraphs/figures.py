@@ -16,7 +16,7 @@ import numpy as np
 
 from . import features, graphs, svg
 from .embedding import EmbeddingSpec, make_embedding
-from .engine import DEFAULT_CUTOFF_PAIRS, SampleSet
+from .engine import SampleSet
 from .errors import ValidationError
 
 _CLASS_COLOR = dict(zip(graphs.CLASS_LABELS, svg.PALETTE))
@@ -53,16 +53,14 @@ def class_sorted_codes(codes) -> list[tuple[str, str]]:
 
 def event_by_class_rows(samples_by_code: dict[str, SampleSet],
                         event_k: int = 6,
-                        n_max: int = features.DEFAULT_MAX_PER_MODE,
-                        cutoff_pairs: int = DEFAULT_CUTOFF_PAIRS) -> list[dict]:
+                        n_max: int = features.DEFAULT_MAX_PER_MODE) -> list[dict]:
     """Sampled and lossless-analytic probability of one event, per graph."""
     rows = []
     for position, (code, label) in enumerate(
             class_sorted_codes(samples_by_code)):
         samples = samples_by_code[code]
         sampled = features.fv_events_from_samples(samples, [event_k], n_max)
-        analytic = features.fv_events_analytic(
-            make_embedding(code), [event_k], n_max, cutoff_pairs=cutoff_pairs)
+        analytic = features.fv_events_analytic(make_embedding(code), [event_k], n_max)
         rows.append({
             "position": position,
             "code": code,
@@ -111,15 +109,14 @@ def deviation_rows(samples: SampleSet, spec: EmbeddingSpec,
                    events=features.DEFAULT_EVENTS,
                    n_max: int = features.DEFAULT_MAX_PER_MODE,
                    step: float = 0.01,
-                   cutoff_pairs: int = DEFAULT_CUTOFF_PAIRS):
-    """Deviation curve plus per-component matched loss factors."""
+                   cutoff_pairs: int | None = None):
+    """Deviation curve and matched loss factors (``cutoff_pairs``: accepted, unused)."""
     sampled = features.fv_events_from_samples(samples, events, n_max)
     loss_factors = np.arange(0.0, 1.0 + step / 2, step)
     curve = features.relative_deviation(
-        sampled, spec, [1.0 - lf for lf in loss_factors], cutoff_pairs)
+        sampled, spec, [1.0 - lf for lf in loss_factors])
     matches = {
-        features.format_label(label): features.match_loss(
-            sampled, spec, i, step=step, cutoff_pairs=cutoff_pairs)
+        features.format_label(label): features.match_loss(sampled, spec, i, step=step)
         for i, label in enumerate(sampled.labels)}
     return curve, matches
 

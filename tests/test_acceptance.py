@@ -75,8 +75,7 @@ def lossy_orbit_points(embeddable, class_of):
     """
     points = {}
     for index, (code, spec) in enumerate(embeddable):
-        table = engine.build_table(spec, engine.min_cutoff_for_mass(spec.rank))
-        shots = engine.sample(table, 100_000, seed=1000 + 2 * index)
+        shots = engine.sample(spec, 100_000, seed=1000 + 2 * index)
         lossy = engine.apply_loss(shots, LossModel(0.55), seed=1001 + 2 * index)
         fv = features.fv_orbits_from_samples(lossy, features.DEFAULT_ORBITS)
         points[code] = (class_of[code], fv.values.copy())
@@ -148,24 +147,23 @@ def test_criterion_05_probability_correctness(specs_by_code):
 
 
 def test_criterion_06_sampler_fidelity(specs_by_code):
+    # Every even total against the untruncated negative-binomial law, with
+    # no renormalisation; the totals beyond k = 16 are pooled into one bin.
     spec = specs_by_code["1111111111"]
     start = time.perf_counter()
-    table = engine.build_table(spec, 8)
-    shots = engine.sample(table, 100_000, seed=2024)
+    shots = engine.sample(spec, 100_000, seed=2024)
     elapsed = time.perf_counter() - start
     totals = shots.shots.sum(axis=1)
     n = len(shots)
-    failures = []
-    for k in range(0, 2 * table.cutoff_pairs + 1):
-        if k % 2 == 1:
-            if (totals == k).any():
-                failures.append(f"odd k={k} nonempty")
-            continue
-        p = table.slice_mass(k // 2) / table.covered_mass
+    failures = [f"odd k={k} nonempty" for k in np.unique(totals) if k % 2]
+    bins = [(f"k={k}", totals == k, engine.total_photon_distribution(spec.rank, k // 2))
+            for k in range(0, 17, 2)]
+    bins.append(("k>16", totals > 16, engine.total_photon_tail(spec.rank, 8)))
+    for name, hits, p in bins:
         se = math.sqrt(p * (1.0 - p) / n)
-        gap = abs(float((totals == k).mean()) - p)
+        gap = abs(float(hits.mean()) - p)
         if gap >= 4 * se:
-            failures.append(f"k={k}: |diff| {gap:.2e} >= 4 sigma {4 * se:.2e}")
+            failures.append(f"{name}: |diff| {gap:.2e} >= 4 sigma {4 * se:.2e}")
     ok = not failures and elapsed < 10.0
     _report(6, ok, f"100k shots in {elapsed:.2f} s; "
                    f"violations: {failures or 'none'}")
@@ -179,13 +177,11 @@ def test_criterion_07_class_invariance_of_analytic_fvs(embeddable, class_of):
     for label, specs in members.items():
         reference_events = features.fv_events_analytic(
             specs[0], features.DEFAULT_EVENTS, 8).values
-        reference_orbits = features.fv_orbits_analytic(
-            specs[0], ORBITS_ETA1, cutoff_pairs=8).values
+        reference_orbits = features.fv_orbits_analytic(specs[0], ORBITS_ETA1).values
         for spec in specs[1:]:
             ev = features.fv_events_analytic(
                 spec, features.DEFAULT_EVENTS, 8).values
-            ob = features.fv_orbits_analytic(
-                spec, ORBITS_ETA1, cutoff_pairs=8).values
+            ob = features.fv_orbits_analytic(spec, ORBITS_ETA1).values
             for a, b in zip(np.concatenate([ev, ob]),
                             np.concatenate([reference_events, reference_orbits])):
                 if not _rel_close(a, b, 1e-10):
@@ -197,20 +193,14 @@ def test_criterion_07_class_invariance_of_analytic_fvs(embeddable, class_of):
 
 
 def test_criterion_08_loss_self_consistency(specs_by_code):
-    # Cutoff 12 keeps the sampler's truncation bias (~1e-3 on the matched
-    # loss factor) well inside the +-0.02 window; the k=2 component is the
-    # flattest and dominates the error budget.
     spec = specs_by_code["1111111111"]
-    cutoff = 12
-    table = engine.build_table(spec, cutoff)
-    shots = engine.sample(table, 400_000, seed=555)
+    shots = engine.sample(spec, 400_000, seed=555)
     lossy = engine.apply_loss(shots, LossModel(0.55), seed=556)
     sampled = features.fv_events_from_samples(lossy, features.DEFAULT_EVENTS, 8)
     crossings = {}
     failures = []
     for i, label in enumerate(sampled.labels):
-        matched = features.match_loss(sampled, spec, i, step=0.01,
-                                      cutoff_pairs=cutoff)
+        matched = features.match_loss(sampled, spec, i, step=0.01)
         crossings[label.k] = matched
         if matched is None or abs(matched - 0.45) > 0.02:
             failures.append(f"k={label.k}: {matched}")
@@ -241,11 +231,10 @@ def test_criterion_09_orbit_space_clustering(lossy_orbit_points, specs_by_code):
 
     rep_2p3 = specs_by_code["0110000000"]
     rep_2s3 = specs_by_code["0111000000"]
-    cutoff = engine.min_cutoff_for_mass(2)
     fv_2p3 = features.fv_orbits_analytic(rep_2p3, features.DEFAULT_ORBITS,
-                                         LossModel(0.55), cutoff)
+                                         LossModel(0.55))
     fv_2s3 = features.fv_orbits_analytic(rep_2s3, features.DEFAULT_ORBITS,
-                                         LossModel(0.55), cutoff)
+                                         LossModel(0.55))
     distance = float(np.linalg.norm(fv_2p3.values - fv_2s3.values))
     print(f"[acceptance] criterion 9 note: analytic 2P3-vs-2S3 orbit distance "
           f"at eta=0.55 is {distance:.6e} "
@@ -259,9 +248,8 @@ def test_criterion_10_round_trips(tmp_path, specs_by_code):
     problems = []
 
     # sample files: simulated -> written -> ingested, shots and meta intact
-    table = engine.build_table(specs_by_code["0110000000"],
-                               engine.min_cutoff_for_mass(2))
-    original = engine.apply_loss(engine.sample(table, 2_000, seed=31),
+    spec = specs_by_code["0110000000"]
+    original = engine.apply_loss(engine.sample(spec, 2_000, seed=31),
                                  LossModel(0.7), seed=32)
     path = tmp_path / "roundtrip.samples"
     engine.write_samples(original, path)

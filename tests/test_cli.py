@@ -1,10 +1,14 @@
 import json
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gbsgraphs import catalog
+from gbsgraphs import catalog, embedding, engine
 from gbsgraphs.cli import cli
 
 
@@ -139,14 +143,33 @@ def test_simulate_loss_and_threshold(tmp_path, runner):
     assert counts <= {0, 1}
 
 
-def test_simulate_raises_cutoff_for_higher_rank(tmp_path, runner):
+def test_simulate_draws_sampling_and_loss_from_spawned_streams(tmp_path, runner):
     result = run_in(tmp_path, runner,
-                    ["simulate", "0100000101", "--shots", "10", "--seed", "1",
-                     "--out", "r4.samples"])
-    assert result.exit_code == 0
+                    ["simulate", "0100000101", "--shots", "300", "--seed", "5",
+                     "--loss", "0.5", "--out", "r4.samples"])
+    assert result.exit_code == 0, result.output
+    sample_stream, loss_stream = np.random.SeedSequence(5).spawn(2)
+    spec = embedding.make_embedding("0100000101")
+    want = engine.apply_loss(engine.sample(spec, 300, sample_stream),
+                             engine.LossModel(0.5), loss_stream)
+    got = engine.ingest_samples(tmp_path / "r4.samples")
+    assert (got.shots == want.shots).all()
+    assert (got.meta.seed, got.meta.loss) == (5, 0.5)
     meta = json.loads((tmp_path / "r4.meta.json").read_text())
-    assert meta["cutoff_pairs"] == 17
-    assert meta["covered_mass"] >= 0.99
+    assert "cutoff_pairs" not in meta and "covered_mass" not in meta
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "0000000100", "--shots", "10"],
+    ["fv", "--code", "0000000100"],
+    ["deviation", "--samples", "x.samples"],
+    ["figure", "fig3", "--samples", "x.samples"],
+])
+def test_cutoff_pairs_option_is_gone(tmp_path, runner, command):
+    (tmp_path / "x.samples").write_text("[0,0,1,0,0,0,1,0]\n")
+    result = run_in(tmp_path, runner, command + ["--cutoff-pairs", "8"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
 
 
 def test_simulate_rejects_non_embeddable_with_reason(tmp_path, runner):
@@ -207,17 +230,115 @@ def test_ingest_huge_count_reports_only_observed_totals(tmp_path, runner):
     assert report["event_frequencies"] == {"9223372036854775807": 0.0}
 
 
+@pytest.mark.parametrize("line, message", [
+    ("[9223372036854775808,0,0,0,0,0,0,0]", "more than 2^63 - 1"),
+    ("[9223372036854775807,9223372036854775807,0,0,0,0,0,0]", "more than 2^63 - 1"),
+], ids=["count-2^63", "sum-past-2^63"])
+def test_ingest_counts_beyond_int64_are_validation_errors(tmp_path, runner,
+                                                         line, message):
+    (tmp_path / "big.samples").write_text("[0,0,0,0,0,0,0,0]\n" + line + "\n")
+    result = run_in(tmp_path, runner, ["ingest", "big.samples"])
+    assert result.exit_code == 2, result.output
+    assert "big.samples:2" in result.output and message in result.output
+
+
+def test_ingest_mode_totals_do_not_wrap(tmp_path, runner):
+    (tmp_path / "s.samples").write_text("[4611686018427387904,0,0,0,0,0,0,0]\n" * 3)
+    result = run_in(tmp_path, runner, ["ingest", "s.samples"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["mode_totals"][0] == 3 * 2 ** 62
+
+
+def test_ingest_invalid_utf8_is_validation_error(tmp_path, runner):
+    (tmp_path / "u.samples").write_bytes(b"[0,0,0,0,0,0,0,0]\n\xff\xfe\n")
+    result = run_in(tmp_path, runner, ["ingest", "u.samples"])
+    assert result.exit_code == 2, result.output
+    assert "u.samples:2" in result.output and "UTF-8" in result.output
+    (tmp_path / "v.samples").write_text("[0,0,0,0,0,0,0,0]\n")
+    (tmp_path / "v.meta.json").write_bytes(b'{"code": "\xff\xfe"}')
+    result = run_in(tmp_path, runner, ["ingest", "v.samples"])
+    assert result.exit_code == 2, result.output
+    assert "v.meta.json" in result.output
+
+
+@pytest.mark.parametrize("meta", [
+    {"code": "1111111111", "source": "simulated", "seed": None, "loss": 0.55,
+     "threshold": False, "shots": 1, "cutoff_pairs": None, "covered_mass": None},
+    {"code": "1111111111", "source": "simulated", "seed": 7, "loss": None,
+     "threshold": False, "shots": 1, "cutoff_pairs": 8, "covered_mass": 0.99257},
+    {"loss": 1, "seed": 0},
+], ids=["benchmark-oracle", "older-file", "int-loss"])
+def test_ingest_accepts_known_meta_files(tmp_path, runner, meta):
+    (tmp_path / "s.samples").write_text("[1,0,0,0,1,0,0,0]\n")
+    (tmp_path / "s.meta.json").write_text(json.dumps(meta))
+    result = run_in(tmp_path, runner, ["ingest", "s.samples"])
+    assert result.exit_code == 0, result.output
+
+
 @pytest.mark.parametrize("meta, message", [
     ('{"code": "0000000100", "loss": ', "invalid JSON"),
     ('["0000000100"]', "expected a JSON object, got list"),
     ('{"code": "12345"}', "10 digits"),
-], ids=["malformed-json", "not-an-object", "bad-code"])
+    ('{"loss": "x"}', "loss"),
+    ('{"loss": 1.5}', "loss"),
+    ('{"loss": true}', "loss"),
+    ('{"seed": -1}', "seed"),
+    ('{"seed": 1.5}', "seed"),
+    ('{"threshold": "yes"}', "threshold"),
+], ids=["malformed-json", "not-an-object", "bad-code", "loss-string",
+        "loss-above-1", "loss-bool", "seed-negative", "seed-float",
+        "threshold-string"])
 def test_ingest_bad_meta_is_validation_error(tmp_path, runner, meta, message):
     (tmp_path / "s.samples").write_text("[1,0,0,0,1,0,0,0]\n")
     (tmp_path / "s.meta.json").write_text(meta)
     result = run_in(tmp_path, runner, ["ingest", "s.samples"])
     assert result.exit_code == 2, result.output
     assert "s.meta.json" in result.output and message in result.output
+
+
+def test_fv_on_mistyped_meta_is_validation_error(tmp_path, runner):
+    (tmp_path / "s.samples").write_text("[1,0,0,0,1,0,0,0]\n")
+    (tmp_path / "s.meta.json").write_text('{"code": "1000000000", "loss": "x"}')
+    result = run_in(tmp_path, runner, ["fv", "--samples", "s.samples"])
+    assert result.exit_code == 2, result.output
+    assert "s.meta.json" in result.output
+
+
+_COUNT = st.one_of(st.integers(min_value=0, max_value=3),
+                   st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+_SHOT_LINE = st.one_of(
+    st.lists(_COUNT, min_size=8, max_size=8).map(lambda v: json.dumps(v).encode()),
+    st.lists(_COUNT, max_size=10).map(lambda v: json.dumps(v).encode()),
+    st.binary(max_size=12).filter(lambda b: b"\n" not in b and b"\r" not in b),
+    st.sampled_from([b"", b"# comment", b"[1,0,0,0,1,0,0,0.5]", b"\xff\xfe"]),
+)
+_META_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-5, 2 ** 64),
+                        st.floats(allow_nan=True), st.text(max_size=12))
+_META = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({}, optional={
+        "code": st.one_of(_META_VALUE, st.sampled_from(["0000000100", "1111111111"])),
+        "loss": _META_VALUE, "seed": _META_VALUE, "threshold": _META_VALUE,
+    }).map(lambda d: json.dumps(d).encode()),
+    st.binary(max_size=16),
+)
+
+
+@given(lines=st.lists(_SHOT_LINE, max_size=6), meta=_META,
+       command=st.sampled_from([["ingest", "f.samples"],
+                                ["fv", "--samples", "f.samples", "--out", "f.csv"]]))
+@settings(max_examples=60)
+def test_ingest_and_fv_keep_the_exit_code_contract(tmp_path_factory, lines, meta,
+                                                   command):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "f.samples").write_bytes(b"\n".join(lines) + b"\n")
+    if meta is not None:
+        (work / "f.meta.json").write_bytes(meta)
+    start = time.perf_counter()
+    result = run_in(work, CliRunner(), command)
+    assert time.perf_counter() - start < 10.0
+    assert result.exit_code in (0, 2, 3), (result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 # ---------------------------------------------------------------------------

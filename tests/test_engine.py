@@ -222,12 +222,6 @@ def test_table_mode_permutation_covariance():
         assert d2[moved] == value      # bit-identical by construction
 
 
-def test_rank2_table_flags_low_coverage_at_default_cutoff():
-    spec = embedding.make_embedding("0110000000")
-    assert engine.build_table(spec, 8).low_coverage
-    assert not engine.build_table(spec, 11).low_coverage
-
-
 def test_table_rejects_bad_cutoff():
     spec = embedding.make_embedding("0000000100")
     with pytest.raises(ValidationError):
@@ -245,56 +239,178 @@ def test_every_embeddable_spec_normalises_against_closed_form(embeddable):
 
 
 # ---------------------------------------------------------------------------
+# product law
+# ---------------------------------------------------------------------------
+
+def test_blocks_split_signal_and_idler_modes():
+    assert engine.blocks(embedding.make_embedding("1111111111")) == [
+        ((0, 1, 2, 3), (4, 5, 6, 7))]
+    assert engine.blocks(embedding.make_embedding("0000000100")) == [((2,), (6,))]
+    blocks = engine.blocks(embedding.make_embedding("0110000000"))
+    assert len(blocks) == 2
+    assert sorted(len(sig) * len(idl) for sig, idl in blocks) == [2, 2]
+    for code, spec in embedding.enumerate_embeddable():
+        assert len(engine.blocks(spec)) == spec.rank, code
+
+
+def test_detected_probabilities_match_every_table_entry(embeddable):
+    worst = 0.0
+    for code, spec in embeddable:
+        table = engine.build_table(spec, 6)
+        got = engine.detected_probabilities(spec, table.patterns)
+        worst = max(worst, float((np.abs(got - table.probs) / table.probs).max()))
+    assert worst < 1e-14
+
+
+def test_detected_probabilities_match_ryser_on_sampled_patterns(specs_by_code):
+    for code in ("1111111111", "0110000000", "0100000101", "1011000111"):
+        spec = specs_by_code[code]
+        shots = engine.sample(spec, 400, seed=17).shots
+        distinct = np.unique(shots[shots.sum(axis=1) <= 12], axis=0)
+        got = engine.detected_probabilities(spec, distinct)
+        for pattern, value in zip(distinct, got):
+            assert value == pytest.approx(
+                engine.pattern_probability(spec, pattern), rel=1e-12), (code, pattern)
+
+
+def _thinned_table_mass(table, detected, eta):
+    # Sum over ideal patterns t of P(t) * prod_j Bin(detected_j; t_j, eta).
+    pats = table.patterns
+    top = int(max(pats.max(), detected.max()))
+    pmf = np.zeros((top + 1, top + 1))
+    for t in range(top + 1):
+        for k in range(t + 1):
+            pmf[t, k] = math.comb(t, k) * eta ** k * (1.0 - eta) ** (t - k)
+    w = np.ones((len(pats), len(detected)))
+    for j in range(8):
+        w *= pmf[pats[:, j][:, None], detected[None, :, j]]
+    return table.probs @ w
+
+
+@pytest.mark.parametrize("code", ["0000000100", "0010000000", "1100100000"])
+def test_lossy_detected_probabilities_match_thinned_deep_table(code, specs_by_code):
+    spec = specs_by_code[code]
+    cutoff = engine.min_cutoff_for_mass(spec.rank, 1.0 - 1e-12)
+    table = engine.build_table(spec, cutoff)
+    assert engine.total_photon_tail(spec.rank, cutoff) < 1e-12
+    modes = [m for block in engine.blocks(spec) for side in block for m in side]
+    detected = np.zeros((3 ** len(modes), 8), dtype=np.int64)
+    detected[:, modes] = list(itertools.product(range(3), repeat=len(modes)))
+    for eta in (0.3, 0.55, 0.9):
+        want = _thinned_table_mass(table, detected, eta)
+        got = engine.detected_probabilities(spec, detected, eta)
+        assert np.abs(got - want).max() < 1e-12, eta
+        assert (got[want == 0.0] == 0.0).all()
+
+
+def test_detected_probabilities_edge_patterns(specs_by_code):
+    spec = specs_by_code["0000000100"]
+    stray = (1, 0, 1, 0, 0, 0, 1, 0)
+    deep = (0, 0, 10 ** 6, 0, 0, 0, 10 ** 6, 0)
+    got = engine.detected_probabilities(spec, [stray, deep], 0.5)
+    assert got.tolist() == [0.0, 0.0]
+    with pytest.raises(ValidationError):
+        engine.detected_probabilities(spec, [(0, 0, -1, 0, 0, 0, 0, 0)])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_detected_total_matches_pair_law_series(rank):
+    eta = 0.55
+    for k in (0, 1, 2, 5, 8):
+        want = math.fsum(
+            engine.total_photon_distribution(rank, pairs) * math.comb(2 * pairs, k)
+            * eta ** k * (1 - eta) ** (2 * pairs - k)
+            for pairs in range((k + 1) // 2, 400))
+        assert engine.detected_total_probability(rank, k, eta) == pytest.approx(
+            want, rel=1e-12), k
+    assert engine.detected_total_probability(rank, 0, 0.0) == 1.0
+    assert engine.detected_total_probability(rank, 10 ** 9, 0.5) == 0.0
+
+
+# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def k44_table():
-    return engine.build_table(embedding.make_embedding("1111111111"), 8)
+def k44_spec():
+    return embedding.make_embedding("1111111111")
 
 
-def test_sample_validation(k44_table):
+def test_sample_validation(k44_spec):
     with pytest.raises(ValidationError):
-        engine.sample(k44_table, 0, seed=1)
-    low = engine.build_table(embedding.make_embedding("0110000000"), 8)
-    with pytest.raises(ValidationError):
-        engine.sample(low, 10, seed=1)
+        engine.sample(k44_spec, 0, seed=1)
 
 
-def test_sample_draws_table_patterns(k44_table):
-    out = engine.sample(k44_table, 1, seed=42)
-    assert tuple(int(x) for x in out.shots[0]) in k44_table.as_dict()
+def test_sample_accepts_a_table_for_its_spec(k44_spec):
+    table = engine.build_table(k44_spec, 4)
+    a = engine.sample(table, 300, seed=12)
+    b = engine.sample(k44_spec, 300, seed=12)
+    assert (a.shots == b.shots).all()
+    assert a.meta == b.meta
+
+
+def test_sample_draws_table_patterns(k44_spec):
+    out = engine.sample(k44_spec, 2000, seed=42)
+    lookup = engine.build_table(k44_spec, 8).as_dict()
+    for row in out.shots:
+        if row[:4].sum() <= 8:
+            assert tuple(int(x) for x in row) in lookup
+    assert (out.shots[:, :4].sum(axis=1) == out.shots[:, 4:].sum(axis=1)).all()
     assert out.meta.source == "simulated"
     assert out.meta.code == "1111111111"
     assert out.meta.seed == 42
 
 
-def test_sample_is_deterministic(k44_table):
-    a = engine.sample(k44_table, 2000, seed=9)
-    b = engine.sample(k44_table, 2000, seed=9)
+def test_sample_records_the_seed_of_a_spawned_stream(k44_spec):
+    stream, _ = np.random.SeedSequence(9).spawn(2)
+    out = engine.sample(k44_spec, 50, stream)
+    assert out.meta.seed == 9
+    assert not (out.shots == engine.sample(k44_spec, 50, 9).shots).all()
+
+
+def test_sample_is_deterministic(k44_spec):
+    a = engine.sample(k44_spec, 2000, seed=9)
+    b = engine.sample(k44_spec, 2000, seed=9)
     assert (a.shots == b.shots).all()
-    c = engine.sample(k44_table, 2000, seed=10)
+    c = engine.sample(k44_spec, 2000, seed=10)
     assert (a.shots != c.shots).any()
 
 
-def test_sample_frequency_matches_renormalised_law():
+def test_sample_frequency_matches_exact_law():
     spec = embedding.make_embedding("0000000100")
-    table = engine.build_table(spec, 8)
     shots = 100_000
-    out = engine.sample(table, shots, seed=123)
+    out = engine.sample(spec, shots, seed=123)
     totals = out.shots.sum(axis=1)
-    p = SECH2 * TANH2 / table.covered_mass
+    p = SECH2 * TANH2
     se = math.sqrt(p * (1 - p) / shots)
     assert abs((totals == 2).mean() - p) < 4 * se
 
 
-def test_sample_chi_squared_against_table(k44_table):
+@pytest.mark.parametrize("code", ["1111111111", "0110000000", "0100000101"])
+def test_sampled_pair_numbers_follow_negative_binomial(code, specs_by_code):
+    # No renormalisation: the expected counts come from the untruncated law.
     scipy_stats = pytest.importorskip("scipy.stats")
+    spec = specs_by_code[code]
     shots = 100_000
-    out = engine.sample(k44_table, shots, seed=77)
-    order = np.argsort(k44_table.probs)[::-1][:20]
-    top = {tuple(int(x) for x in k44_table.patterns[i]):
-           k44_table.probs[i] / k44_table.covered_mass for i in order}
+    pairs = engine.sample(spec, shots, seed=91).shots[:, :4].sum(axis=1)
+    top = 12 + 3 * spec.rank
+    probs = [engine.total_photon_distribution(spec.rank, n) for n in range(top)]
+    observed = [np.count_nonzero(pairs == n) for n in range(top)]
+    probs.append(1.0 - math.fsum(probs))
+    observed.append(np.count_nonzero(pairs >= top))
+    expected = shots * np.array(probs)
+    stat = float(((np.array(observed) - expected) ** 2 / expected).sum())
+    critical = scipy_stats.chi2.ppf(1.0 - 1e-3, df=top)
+    assert stat < critical, f"chi2 {stat:.1f} >= {critical:.1f}"
+
+
+def test_sample_chi_squared_against_table(k44_spec):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    table = engine.build_table(k44_spec, 8)
+    shots = 100_000
+    out = engine.sample(k44_spec, shots, seed=77)
+    order = np.argsort(table.probs)[::-1][:20]
+    top = {tuple(int(x) for x in table.patterns[i]): table.probs[i] for i in order}
     counts = {key: 0 for key in top}
     rest = 0
     for row in out.shots:
@@ -323,22 +439,22 @@ def test_loss_model_validates():
     assert engine.LossModel(0.25).loss_factor == pytest.approx(0.75)
 
 
-def test_lossless_thinning_is_identity(k44_table):
-    out = engine.sample(k44_table, 500, seed=4)
+def test_lossless_thinning_is_identity(k44_spec):
+    out = engine.sample(k44_spec, 500, seed=4)
     same = engine.apply_loss(out, engine.LossModel(1.0), seed=5)
     assert (same.shots == out.shots).all()
     assert same.meta.loss == 1.0
 
 
-def test_full_loss_empties_every_mode(k44_table):
-    out = engine.sample(k44_table, 500, seed=4)
+def test_full_loss_empties_every_mode(k44_spec):
+    out = engine.sample(k44_spec, 500, seed=4)
     dark = engine.apply_loss(out, engine.LossModel(0.0), seed=5)
     assert not dark.shots.any()
 
 
-def test_loss_scales_mean_total(k44_table):
+def test_loss_scales_mean_total(k44_spec):
     shots = 100_000
-    out = engine.sample(k44_table, shots, seed=21)
+    out = engine.sample(k44_spec, shots, seed=21)
     eta = 0.5
     thinned = engine.apply_loss(out, engine.LossModel(eta), seed=22)
     ideal_mean = float(out.shots.sum(axis=1).mean())
@@ -347,39 +463,34 @@ def test_loss_scales_mean_total(k44_table):
     assert abs(got - eta * ideal_mean) < 4 * spread / math.sqrt(shots)
 
 
-def test_total_after_loss_matches_binomially_thinned_law(k44_table):
+def test_total_after_loss_matches_binomially_thinned_law(k44_spec):
     # Event frequencies of the detected total against the thinned pair law.
     shots = 100_000
     eta = 0.6
-    out = engine.apply_loss(engine.sample(k44_table, shots, seed=31),
+    out = engine.apply_loss(engine.sample(k44_spec, shots, seed=31),
                             engine.LossModel(eta), seed=32)
     totals = out.shots.sum(axis=1)
-    rank = 1
-    cutoff = k44_table.cutoff_pairs
     for k in (0, 1, 2, 3, 4, 5):
-        p = sum(engine.total_photon_distribution(rank, pairs)
-                / k44_table.covered_mass
-                * math.comb(2 * pairs, k) * eta ** k * (1 - eta) ** (2 * pairs - k)
-                for pairs in range((k + 1) // 2, cutoff + 1))
+        p = engine.detected_total_probability(1, k, eta)
         se = math.sqrt(p * (1 - p) / shots)
         assert abs((totals == k).mean() - p) < 4 * se, k
 
 
-def test_loss_composes_multiplicatively(k44_table):
-    out = engine.sample(k44_table, 100, seed=1)
+def test_loss_composes_multiplicatively(k44_spec):
+    out = engine.sample(k44_spec, 100, seed=1)
     once = engine.apply_loss(out, engine.LossModel(0.8), seed=2)
     twice = engine.apply_loss(once, engine.LossModel(0.5), seed=3)
     assert twice.meta.loss == pytest.approx(0.4)
 
 
-def test_loss_rejects_threshold_input(k44_table):
-    clicks = engine.to_threshold(engine.sample(k44_table, 10, seed=1))
+def test_loss_rejects_threshold_input(k44_spec):
+    clicks = engine.to_threshold(engine.sample(k44_spec, 10, seed=1))
     with pytest.raises(ValidationError):
         engine.apply_loss(clicks, engine.LossModel(0.5), seed=2)
 
 
-def test_threshold_clamps_and_is_idempotent(k44_table):
-    out = engine.sample(k44_table, 300, seed=8)
+def test_threshold_clamps_and_is_idempotent(k44_spec):
+    out = engine.sample(k44_spec, 300, seed=8)
     clicks = engine.to_threshold(out)
     assert clicks.meta.threshold
     assert set(np.unique(clicks.shots)) <= {0, 1}
@@ -401,8 +512,8 @@ def test_threshold_of_single_pattern(counts):
 # sample files
 # ---------------------------------------------------------------------------
 
-def test_write_then_ingest_roundtrip(tmp_path, k44_table):
-    out = engine.sample(k44_table, 250, seed=3)
+def test_write_then_ingest_roundtrip(tmp_path, k44_spec):
+    out = engine.sample(k44_spec, 250, seed=3)
     lossy = engine.apply_loss(out, engine.LossModel(0.7), seed=4)
     path = tmp_path / "k44.samples"
     engine.write_samples(lossy, path)
@@ -412,7 +523,8 @@ def test_write_then_ingest_roundtrip(tmp_path, k44_table):
     assert back.meta.code == "1111111111"
     assert back.meta.loss == pytest.approx(0.7)
     assert back.meta.seed == 3
-    assert back.meta.covered_mass == pytest.approx(k44_table.covered_mass)
+    stored = json.loads(engine.meta_path_for(path).read_text())
+    assert "cutoff_pairs" not in stored and "covered_mass" not in stored
 
 
 def test_ingest_three_identical_lines(tmp_path):

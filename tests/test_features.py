@@ -96,8 +96,7 @@ def test_fv_rejects_empty_sets():
 
 
 def test_lossless_samples_have_no_odd_events(specs_by_code):
-    table = engine.build_table(specs_by_code["1111111111"], 8)
-    out = engine.sample(table, 20_000, seed=50)
+    out = engine.sample(specs_by_code["1111111111"], 20_000, seed=50)
     fv = features.fv_events_from_samples(out, [1, 3, 5, 7], 8)
     assert not fv.values.any()
     orbit_fv = features.fv_orbits_from_samples(out, [(1, 1, 1)])
@@ -111,28 +110,25 @@ def test_fv_orbits_zero_on_vacuum_shots():
 
 
 def test_sampled_events_match_analytic_within_4_sigma(specs_by_code):
-    table = engine.build_table(specs_by_code["1111111111"], 8)
     shots = 50_000
-    out = engine.sample(table, shots, seed=51)
+    out = engine.sample(specs_by_code["1111111111"], shots, seed=51)
     fv = features.fv_events_from_samples(out, [2, 4], 8)
     analytic = features.fv_events_analytic(specs_by_code["1111111111"], [2, 4], 8)
-    for got, expect in zip(fv.values, analytic.values / table.covered_mass):
+    for got, expect in zip(fv.values, analytic.values):
         se = math.sqrt(expect * (1 - expect) / shots)
         assert abs(got - expect) < 4 * se
 
 
 def test_sampled_lossy_orbits_match_analytic_within_4_sigma(specs_by_code):
     spec = specs_by_code["1111111111"]
-    table = engine.build_table(spec, 8)
     shots = 50_000
     eta = 0.5
-    out = engine.apply_loss(engine.sample(table, shots, seed=52),
+    out = engine.apply_loss(engine.sample(spec, shots, seed=52),
                             LossModel(eta), seed=53)
     orbits = [(1, 1, 1), (2, 1, 1)]
     fv = features.fv_orbits_from_samples(out, orbits)
-    analytic = features.fv_orbits_analytic(spec, orbits, LossModel(eta), 8)
-    # The sampler renormalises the truncated table; rescale theory to match.
-    for got, expect in zip(fv.values, analytic.values / table.covered_mass):
+    analytic = features.fv_orbits_analytic(spec, orbits, LossModel(eta))
+    for got, expect in zip(fv.values, analytic.values):
         se = math.sqrt(expect * (1 - expect) / shots)
         assert abs(got - expect) < 4 * se
         assert got > 0.0
@@ -153,18 +149,18 @@ def test_analytic_events_lossless_closed_form(specs_by_code):
 def test_analytic_events_match_table_sums(specs_by_code):
     spec = specs_by_code["0110000000"]
     table = engine.build_table(spec, 9)
-    fv = features.fv_events_analytic(spec, [0, 2, 4, 6], 8, cutoff_pairs=9)
+    fv = features.fv_events_analytic(spec, [0, 2, 4, 6], 8)
     for k, value in zip([0, 2, 4, 6], fv.values):
         assert value == pytest.approx(table.slice_mass(k // 2), rel=1e-12)
 
 
 def test_analytic_events_full_loss_is_vacuum_indicator(specs_by_code):
-    # The vacuum component reaches 1 only up to the reported truncation tail;
+    # The vacuum component reaches 1 up to the reported series tail;
     # every other component vanishes exactly.
     fv = features.fv_events_analytic(specs_by_code["1111111111"], [0, 1, 2], 8,
                                      LossModel(0.0))
-    assert abs(fv.values[0] - 1.0) <= fv.tail_bound[0] + 1e-12
-    assert fv.values[0] == pytest.approx(1.0, abs=0.01)
+    assert abs(fv.values[0] - 1.0) <= fv.tail_bound[0] + 1e-15
+    assert fv.tail_bound[0] < 1e-39
     assert fv.values[1] == 0.0
     assert fv.values[2] == 0.0
 
@@ -183,40 +179,73 @@ def test_analytic_event_sum_rule(specs_by_code):
         spec = specs_by_code[code]
         cutoff = 8
         fv = features.fv_events_analytic(spec, list(range(0, 2 * cutoff + 1)),
-                                         n_max=2 * cutoff, cutoff_pairs=cutoff)
+                                         n_max=2 * cutoff)
         covered = 1.0 - engine.total_photon_tail(spec.rank, cutoff)
         assert math.fsum(fv.values) == pytest.approx(covered, abs=1e-9)
+        lossy = features.fv_events_analytic(spec, range(400), n_max=400,
+                                            loss=LossModel(0.6))
+        assert math.fsum(lossy.values) == pytest.approx(1.0, abs=1e-14)
+
+
+def _thinned_table_sums(table, eta, key):
+    # Brute force over the truncated table: thin each ideal pattern per mode
+    # and add its detected outcomes under key(detected), skipping None.
+    want = {}
+    for pattern, prob in zip(table.patterns, table.probs):
+        for detected in itertools.product(*[range(int(t) + 1) for t in pattern]):
+            label = key(detected)
+            if label is None:
+                continue
+            w = prob
+            for t, k in zip(pattern, detected):
+                w *= math.comb(int(t), k) * eta ** k * (1 - eta) ** (int(t) - k)
+            want[label] = want.get(label, 0.0) + w
+    return want
 
 
 def test_analytic_events_with_binding_cap_match_brute_force(specs_by_code):
+    # The truncated brute force falls short of the exact value by at most the
+    # table's tail.
     spec = specs_by_code["1111111111"]
     cutoff, eta, n_max = 3, 0.7, 1
     table = engine.build_table(spec, cutoff)
-    want = {k: 0.0 for k in (2, 3)}
-    for pattern, prob in zip(table.patterns, table.probs):
-        for detected in itertools.product(*[range(int(t) + 1) for t in pattern]):
-            if max(detected) > n_max:
-                continue
-            if sum(detected) in want:
-                w = prob
-                for t, k in zip(pattern, detected):
-                    w *= math.comb(int(t), k) * eta ** k * (1 - eta) ** (int(t) - k)
-                want[sum(detected)] += w
-    fv = features.fv_events_analytic(spec, [2, 3], n_max, LossModel(eta),
-                                     cutoff_pairs=cutoff)
-    assert fv.values[0] == pytest.approx(want[2], rel=1e-10)
-    assert fv.values[1] == pytest.approx(want[3], rel=1e-10)
+    want = _thinned_table_sums(
+        table, eta, lambda p: sum(p) if max(p) <= n_max and sum(p) in (2, 3) else None)
+    fv = features.fv_events_analytic(spec, [2, 3], n_max, LossModel(eta))
+    tail = engine.total_photon_tail(spec.rank, cutoff)
+    for k, value in zip((2, 3), fv.values):
+        assert want[k] - 1e-15 <= value <= want[k] + tail
 
 
-def test_analytic_events_reject_beyond_cutoff(specs_by_code):
-    with pytest.raises(ValidationError):
-        features.fv_events_analytic(specs_by_code["0000000100"], [18], 8,
-                                    cutoff_pairs=8)
+@pytest.mark.parametrize("code", ["1111111111", "0110000000", "1011000111",
+                                  "0100000101", "0011011000"])
+def test_capped_events_equal_member_pattern_sums(code, specs_by_code):
+    spec = specs_by_code[code]
+    for eta, n_max in ((1.0, 1), (0.55, 1), (0.8, 2), (0.3, 3)):
+        events = [k for k in range(n_max + 1, 9)]
+        fv = features.fv_events_analytic(spec, events, n_max, LossModel(eta))
+        for k, value in zip(events, fv.values):
+            members = np.array([p for p in itertools.product(range(n_max + 1), repeat=8)
+                                if sum(p) == k], dtype=np.int64)
+            want = engine.detected_probabilities(spec, members, eta).sum()
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-16), (eta, n_max, k)
+
+
+def test_analytic_events_beyond_any_cutoff_are_exact(specs_by_code):
+    spec = specs_by_code["0000000100"]
+    fv = features.fv_events_analytic(spec, [18, 10 ** 6], 10 ** 6)
+    assert fv.values[0] == pytest.approx(SECH2 * TANH2 ** 9, rel=1e-12)
+    assert fv.values[1] == 0.0
+    capped = features.fv_events_analytic(spec, [18, 10 ** 6], 9, LossModel(0.5))
+    assert capped.values[0] == pytest.approx(
+        engine.detected_probabilities(spec, [(0, 0, 9, 0, 0, 0, 9, 0)], 0.5)[0],
+        rel=1e-12)
+    assert capped.values[1] == 0.0
 
 
 def test_analytic_orbits_lossless(specs_by_code):
     spec = specs_by_code["0000000100"]
-    fv = features.fv_orbits_analytic(spec, [(1, 1), (1, 1, 1), ()], cutoff_pairs=8)
+    fv = features.fv_orbits_analytic(spec, [(1, 1), (1, 1, 1), ()])
     assert fv.values[0] == pytest.approx(SECH2 * TANH2, abs=1e-12)
     assert fv.values[1] == 0.0
     assert fv.values[2] == pytest.approx(SECH2, abs=1e-12)
@@ -227,26 +256,21 @@ def test_analytic_orbits_lossy_match_brute_force(specs_by_code):
     cutoff, eta = 4, 0.6
     table = engine.build_table(spec, cutoff)
     orbits = [(1, 1), (1, 1, 1), (2, 1, 1), ()]
-    want = {o: 0.0 for o in orbits}
-    for pattern, prob in zip(table.patterns, table.probs):
-        for detected in itertools.product(*[range(int(t) + 1) for t in pattern]):
-            key = tuple(sorted((k for k in detected if k), reverse=True))
-            if key in want:
-                w = prob
-                for t, k in zip(pattern, detected):
-                    w *= math.comb(int(t), k) * eta ** k * (1 - eta) ** (int(t) - k)
-                want[key] += w
-    fv = features.fv_orbits_analytic(spec, orbits, LossModel(eta), cutoff)
+    want = _thinned_table_sums(
+        table, eta, lambda p: tuple(sorted((k for k in p if k), reverse=True)))
+    fv = features.fv_orbits_analytic(spec, orbits, LossModel(eta))
+    tail = engine.total_photon_tail(spec.rank, cutoff)
     for orbit, value in zip(orbits, fv.values):
-        assert value == pytest.approx(want[orbit], rel=1e-10, abs=1e-15)
+        assert want[orbit] - 1e-15 <= value <= want[orbit] + tail
+    assert (fv.tail_bound < 1e-39).all()
 
 
 def test_class_members_share_analytic_fvs(specs_by_code):
     # spot check; the full ten-class sweep lives in the acceptance suite
     a = features.fv_orbits_analytic(specs_by_code["0110000000"],
-                                    features.DEFAULT_ORBITS, LossModel(0.5), 8)
+                                    features.DEFAULT_ORBITS, LossModel(0.5))
     b = features.fv_orbits_analytic(specs_by_code["0011000000"],
-                                    features.DEFAULT_ORBITS, LossModel(0.5), 8)
+                                    features.DEFAULT_ORBITS, LossModel(0.5))
     assert np.allclose(a.values, b.values, rtol=1e-12, atol=1e-15)
 
 
@@ -259,7 +283,7 @@ def test_closed_form_events_match_table_sums_per_category(code, specs_by_code):
     # the table sum on the full matrix; they must agree.
     spec = specs_by_code[code]
     table = engine.build_table(spec, 8)
-    fv = features.fv_events_analytic(spec, [2, 4, 6, 8], 8, cutoff_pairs=8)
+    fv = features.fv_events_analytic(spec, [2, 4, 6, 8], 8)
     for k, value in zip([2, 4, 6, 8], fv.values):
         assert value == pytest.approx(table.slice_mass(k // 2), rel=1e-10)
 
@@ -279,11 +303,9 @@ def test_event_frequency_equals_orbit_sum(rows, k):
 
 def test_sampling_error_shrinks_within_binomial_envelope(specs_by_code):
     spec = specs_by_code["0000000100"]
-    table = engine.build_table(spec, 8)
-    renorm = table.covered_mass
-    analytic = features.fv_events_analytic(spec, [2, 4, 6], 8).values / renorm
+    analytic = features.fv_events_analytic(spec, [2, 4, 6], 8).values
     for shots, seed in ((1_000, 60), (10_000, 61), (100_000, 62)):
-        out = engine.sample(table, shots, seed=seed)
+        out = engine.sample(spec, shots, seed=seed)
         fv = features.fv_events_from_samples(out, [2, 4, 6], 8)
         envelope = 4 * np.sqrt(analytic * (1 - analytic) / shots)
         assert (np.abs(fv.values - analytic) <= envelope).all(), shots
@@ -345,9 +367,8 @@ def test_match_loss_zero_for_lossless_selfmatch(specs_by_code):
 
 def test_match_loss_recovers_thinning_level(specs_by_code):
     spec = specs_by_code["1111111111"]
-    table = engine.build_table(spec, 8)
     eta = 0.6
-    out = engine.apply_loss(engine.sample(table, 100_000, seed=70),
+    out = engine.apply_loss(engine.sample(spec, 100_000, seed=70),
                             LossModel(eta), seed=71)
     sampled = features.fv_events_from_samples(out, [2, 4, 6, 8], 8)
     matched = features.match_loss(sampled, spec, 0)
