@@ -4,12 +4,12 @@
 Writes into --outdir:
     catalog.json                        all embeddable codes with class/rank/m
     samples/<code>.samples (+ meta)     seeded lossy shots per graph
-
-Graph i of the catalog samples and loses photons on the two independent
-streams SeedSequence(seed).spawn(75)[i].spawn(2).
     fig2.csv / fig2.svg                 one event probability per graph
     fig3.csv / fig3.svg (+ matches)     loss sweep for the connected graph
     fig4.csv / fig4_clusters.csv / svg  orbit-space coordinates and clusters
+
+Graph i of the catalog samples and loses photons on the two independent streams
+SeedSequence(seed).spawn(75)[i].spawn(2); the figures take the samples in memory.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import numpy as np
 
 from gbsgraphs import catalog, engine, figures
 from gbsgraphs.embedding import enumerate_embeddable, make_embedding
-from gbsgraphs.engine import LossModel
+from gbsgraphs.engine import LossModel, SampleSet
+
+FIG3_CODE = "1111111111"  # the only connected embeddable graph
 
 
 @dataclass
@@ -35,15 +37,14 @@ class PipelineConfig:
     eta: float = 0.55              # per-photon transmission
     event_k: int = 6
     step: float = 0.01
-    fig3_code: str = "1111111111"  # the only connected embeddable graph
     codes: list[str] = field(default_factory=list)   # empty = all 75
 
 
-def simulate_all(cfg: PipelineConfig) -> dict[str, Path]:
+def simulate_all(cfg: PipelineConfig) -> dict[str, SampleSet]:
     sample_dir = cfg.outdir / "samples"
     sample_dir.mkdir(parents=True, exist_ok=True)
     wanted = set(cfg.codes)
-    paths = {}
+    samples = {}
     specs = enumerate_embeddable()
     graph_streams = np.random.SeedSequence(cfg.seed).spawn(len(specs))
     for index, (code, spec) in enumerate(specs):
@@ -53,10 +54,9 @@ def simulate_all(cfg: PipelineConfig) -> dict[str, Path]:
         shots = engine.sample(spec, cfg.shots, sample_stream)
         if cfg.eta < 1.0:
             shots = engine.apply_loss(shots, LossModel(cfg.eta), loss_stream)
-        path = sample_dir / f"{code}.samples"
-        engine.write_samples(shots, path)
-        paths[code] = path
-    return paths
+        engine.write_samples(shots, sample_dir / f"{code}.samples")
+        samples[code] = shots
+    return samples
 
 
 def run(cfg: PipelineConfig) -> None:
@@ -67,22 +67,18 @@ def run(cfg: PipelineConfig) -> None:
     catalog.write_catalog(records, cfg.outdir / "catalog.json")
     print(f"catalog: {len(records)} embeddable graphs")
 
-    sample_paths = simulate_all(cfg)
-    print(f"samples: {len(sample_paths)} graphs x {cfg.shots} shots "
+    samples = simulate_all(cfg)
+    print(f"samples: {len(samples)} graphs x {cfg.shots} shots "
           f"at eta={cfg.eta} in {time.perf_counter() - start:.1f} s")
-
-    samples = {code: engine.ingest_samples(path)
-               for code, path in sample_paths.items()}
 
     rows = figures.event_by_class_rows(samples, cfg.event_k)
     figures.write_event_by_class(rows, cfg.outdir / "fig2.csv",
                                  cfg.outdir / "fig2.svg", cfg.event_k)
     print("fig2: event values per graph")
 
-    if cfg.fig3_code in samples:
-        spec = make_embedding(cfg.fig3_code)
-        curve, matches = figures.deviation_rows(samples[cfg.fig3_code], spec,
-                                                step=cfg.step)
+    if FIG3_CODE in samples:
+        curve, matches = figures.deviation_rows(
+            samples[FIG3_CODE], make_embedding(FIG3_CODE), step=cfg.step)
         figures.write_deviation(curve, cfg.outdir / "fig3.csv",
                                 cfg.outdir / "fig3.svg")
         (cfg.outdir / "fig3_matches.json").write_text(

@@ -314,17 +314,23 @@ def cmd_fv(sample_paths, code, events, n_max, orbits, eta, out):
 @_mapped_errors
 def cmd_deviation(sample_path, code, events, n_max, step, out):
     """Relative deviation of a sampled event FV from theory over a loss sweep."""
+    _write_deviation(sample_path, code, step, out, events=events, n_max=n_max)
+    click.echo(f"wrote deviation grid to {out}")
+
+
+def _write_deviation(sample_path, code, step, csv_path, svg_path=None,
+                     events=None, n_max=features.DEFAULT_MAX_PER_MODE):
+    """Write one sample file's deviation grid, echo its matches, return the paths."""
     samples = ingest_samples(sample_path)
     code = code or samples.meta.code
     if code is None:
         raise ValidationError("no code given and none recorded in the metadata")
     spec = make_embedding(code)
-    event_list = (_parse_events(events) if events is not None
-                  else list(features.DEFAULT_EVENTS))
+    event_list = features.DEFAULT_EVENTS if events is None else _parse_events(events)
     curve, matches = figures.deviation_rows(samples, spec, event_list, n_max, step)
-    figures.write_deviation(curve, out)
+    paths = figures.write_deviation(curve, csv_path, svg_path)
     _echo_json({"code": code, "matched_loss_factor": matches})
-    click.echo(f"wrote deviation grid to {out}")
+    return paths
 
 
 def _load_sample_dir(directory, codes):
@@ -373,14 +379,7 @@ def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
     elif name == "fig3":
         if sample_path is None:
             raise ValidationError("fig3 needs --samples")
-        samples = ingest_samples(sample_path)
-        code = code or samples.meta.code
-        if code is None:
-            raise ValidationError("no code given and none recorded in the metadata")
-        spec = make_embedding(code)
-        curve, matches = figures.deviation_rows(samples, spec, step=step)
-        paths = figures.write_deviation(curve, csv_path, svg_path)
-        _echo_json({"code": code, "matched_loss_factor": matches})
+        paths = _write_deviation(sample_path, code, step, csv_path, svg_path)
     else:
         if samples_dir is None:
             raise ValidationError("fig4 needs --samples-dir")

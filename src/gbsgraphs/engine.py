@@ -473,10 +473,9 @@ def meta_path_for(path) -> Path:
 def write_samples(samples: SampleSet, path) -> tuple[Path, Path]:
     """Write one JSON-array shot per line, plus the companion meta file."""
     path = Path(path)
-    lines = []
-    for row in samples.shots:
-        lines.append(json.dumps([int(c) for c in row], separators=(",", ":")))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = "[" + ",".join(["%d"] * graphs.N_NODES) + "]\n"
+    text = (row * len(samples.shots)) % tuple(samples.shots.ravel().tolist())
+    path.write_text(text or "\n", encoding="utf-8")
     meta_path = meta_path_for(path)
     meta_path.write_text(
         json.dumps(samples.meta.to_json_dict(len(samples)),

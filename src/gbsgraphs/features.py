@@ -10,7 +10,6 @@ thinned per photon when a loss model is given).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -69,12 +68,19 @@ def validate_orbit(orbit) -> OrbitId:
     return orbit
 
 
+def _distinct_orders(parts: tuple) -> list[tuple]:
+    """Distinct orderings of the ascending tuple ``parts``, in ascending order."""
+    if len(parts) <= 1:
+        return [parts]
+    return [(x,) + rest for i, x in enumerate(parts) if parts.index(x) == i
+            for rest in _distinct_orders(parts[:i] + parts[i + 1:])]
+
+
 def orbit_patterns(orbit) -> np.ndarray:
-    """All distinct patterns in the orbit, as an (n, 8) array."""
+    """All distinct patterns in the orbit, as an (n, 8) array in ascending order."""
     orbit = validate_orbit(orbit)
-    padded = orbit + (0,) * (graphs.N_NODES - len(orbit))
-    distinct = sorted(set(itertools.permutations(padded)))
-    return np.array(distinct, dtype=np.int64)
+    padded = (0,) * (graphs.N_NODES - len(orbit)) + orbit[::-1]
+    return np.array(_distinct_orders(padded), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)

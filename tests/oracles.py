@@ -45,6 +45,13 @@ def is_isomorphic(a, b) -> bool:
     return bool(np.array_equal(canonical_form(a), canonical_form(b)))
 
 
+def orbit_patterns(orbit) -> np.ndarray:
+    """Distinct patterns of an orbit: all 8! orders of the padded orbit,
+    deduplicated through a set and sorted ascending."""
+    padded = tuple(orbit) + (0,) * (N_NODES - len(orbit))
+    return np.array(sorted(set(itertools.permutations(padded))), dtype=np.int64)
+
+
 def permanent_naive(matrix) -> float:
     """Laplace-expansion permanent, the cross-check for the Ryser kernel.
 

@@ -527,6 +527,22 @@ def test_write_then_ingest_roundtrip(tmp_path, k44_spec):
     assert "cutoff_pairs" not in stored and "covered_mass" not in stored
 
 
+@pytest.mark.parametrize("shots", [
+    np.zeros((4, 8), dtype=np.int64),
+    np.random.default_rng(11).integers(0, 2, size=(50, 8)),
+    np.random.default_rng(12).integers(0, 2 ** 62, size=(20, 8), endpoint=True),
+    np.array([[3, 0, 1, 0, 2, 0, 0, 2]], dtype=np.int64),
+    np.zeros((0, 8), dtype=np.int64),
+], ids=["zeros", "threshold", "up-to-2^62", "single-row", "no-rows"])
+def test_write_samples_bytes_equal_json_rows(tmp_path, shots):
+    path = tmp_path / "x.samples"
+    engine.write_samples(
+        engine.SampleSet(shots=shots, meta=engine.SampleMeta("simulated")), path)
+    want = "\n".join(json.dumps(row, separators=(",", ":"))
+                     for row in shots.tolist()) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_ingest_three_identical_lines(tmp_path):
     path = tmp_path / "x.samples"
     path.write_text("[0,0,1,0,0,0,1,0]\n" * 3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gbsgraphs import embedding, engine, features
 from gbsgraphs.engine import LossModel, SampleMeta, SampleSet
 from gbsgraphs.errors import ValidationError
+from oracles import orbit_patterns as orbit_patterns_oracle
 
 SECH2 = 1.0 / math.cosh(1.0) ** 2
 TANH2 = math.tanh(1.0) ** 2
@@ -53,6 +54,14 @@ def test_orbit_is_permutation_invariant(counts):
     base = features.orbit_of(counts)
     assert features.orbit_of(sorted(counts)) == base
     assert sum(base) == sum(counts)
+
+
+@pytest.mark.parametrize("orbit", [
+    (), (1,), (1, 1, 1), (2, 1, 1), (2, 2, 1, 1), (1,) * 8, (8, 7, 6, 5, 4, 3, 2, 1)])
+def test_orbit_patterns_match_permutation_oracle(orbit):
+    got = features.orbit_patterns(orbit)
+    want = orbit_patterns_oracle(orbit)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_orbit_pattern_enumeration():
