@@ -7,7 +7,6 @@ breach.  Every command is deterministic given its options and seed.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 from pathlib import Path
@@ -112,18 +111,12 @@ def cmd_enumerate(all_candidates, out, fmt):
     if fmt == "json":
         catalog.write_catalog(records, out)
     else:
-        with Path(out).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["code", "embeddable", "class", "rank", "m",
-                             "singular_value", "reason"])
-            for rec in records:
-                writer.writerow([
-                    rec.code, rec.embeddable, rec.iso_class,
-                    rec.rank if rec.rank is not None else "",
-                    figures.fmt_prob(rec.m) if rec.m is not None else "",
-                    figures.fmt_prob(rec.singular_value)
-                    if rec.singular_value is not None else "",
-                    rec.reason or ""])
+        figures.write_csv(
+            out, ["code", "embeddable", "class", "rank", "m", "singular_value",
+                  "reason"],
+            [[rec.code, rec.embeddable, rec.iso_class, rec.rank,
+              figures.fmt_prob(rec.m), figures.fmt_prob(rec.singular_value),
+              rec.reason] for rec in records])
     counts = catalog.class_counts(records)
     embeddable = sum(1 for r in records if r.embeddable)
     click.echo(f"wrote {len(records)} records ({embeddable} embeddable) to {out}")
@@ -231,18 +224,12 @@ def cmd_ingest(path, out):
 
 
 def _fv_rows(code, label, fv):
-    rows = []
-    for i, lbl in enumerate(fv.labels):
-        rows.append([
-            code or "", label or "", fv.provenance,
-            figures.fmt_prob(fv.loss_eta), features.format_label(lbl),
-            figures.fmt_prob(float(fv.values[i])),
-            figures.fmt_prob(float(fv.stat_error[i]))
-            if fv.stat_error is not None else "",
-            figures.fmt_prob(float(fv.tail_bound[i]))
-            if fv.tail_bound is not None else "",
-        ])
-    return rows
+    blank = [None] * len(fv.labels)
+    columns = zip(fv.values, blank if fv.stat_error is None else fv.stat_error,
+                  blank if fv.tail_bound is None else fv.tail_bound)
+    return [[code, label, fv.provenance, figures.fmt_prob(fv.loss_eta),
+             features.format_label(lbl)] + [figures.fmt_prob(x) for x in values]
+            for lbl, values in zip(fv.labels, columns)]
 
 
 @cli.command("fv")
@@ -291,11 +278,8 @@ def cmd_fv(sample_paths, code, events, n_max, orbits, eta, out):
         if orbits is not None:
             fv = features.fv_orbits_analytic(spec, _parse_orbits(orbits), loss)
             rows.extend(_fv_rows(code, label, fv))
-    with Path(out).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["code", "class", "provenance", "loss_eta", "label",
-                         "value", "stat_error", "tail_bound"])
-        writer.writerows(rows)
+    figures.write_csv(out, ["code", "class", "provenance", "loss_eta", "label",
+                            "value", "stat_error", "tail_bound"], rows)
     click.echo(f"wrote {len(rows)} feature components to {out}")
 
 
@@ -308,7 +292,7 @@ def cmd_fv(sample_paths, code, events, n_max, orbits, eta, out):
 @click.option("--n-max", type=int, default=features.DEFAULT_MAX_PER_MODE,
               show_default=True)
 @click.option("--step", type=float, default=0.01, show_default=True,
-              help="Loss-factor grid step.")
+              help="Loss-factor grid step, in [1e-4, 1].")
 @click.option("--out", type=click.Path(dir_okay=False), default="deviation.csv",
               show_default=True)
 @_mapped_errors
@@ -355,7 +339,8 @@ def _load_sample_dir(directory, codes):
               help="Comma list restricting fig2/fig4 to a subset of codes.")
 @click.option("--event", "event_k", type=int, default=6, show_default=True,
               help="Event total plotted by fig2.")
-@click.option("--step", type=float, default=0.01, show_default=True)
+@click.option("--step", type=float, default=0.01, show_default=True,
+              help="Loss-factor grid step of fig3, in [1e-4, 1].")
 @click.option("--out-prefix", default=None,
               help="Output prefix [default: the figure name].")
 @click.option("--format", "fmt", type=click.Choice(["csv", "svg"]),

@@ -9,7 +9,8 @@ The test is exact integer arithmetic.  For a real symmetric M with
 t2 = tr(M^2) and t4 = tr(M^4), all nonzero eigenvalues share one magnitude
 sigma iff M^3 = sigma^2 M, and then sigma^2 = t4 / t2 and
 rank = t2^2 / t4.  Every graph that passes is ``rank`` identical
-complete-bipartite blocks K_{a,b}, with sigma^2 = a * b.
+complete-bipartite blocks K_{a,b}, with sigma^2 = a * b, whose modes
+``make_embedding`` lists in ``EmbeddingSpec.blocks`` for the law in ``engine``.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class EmbeddingSpec:
     rank: int
     squeezing: tuple[float, ...]
     mean_photon_per_mode: float
+    # (signal modes 0-3, idler modes 4-7) of each K_{a,b} block.
+    blocks: list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 def make_embedding(code: str) -> EmbeddingSpec:
@@ -83,6 +86,10 @@ def make_embedding(code: str) -> EmbeddingSpec:
     if not emb.embeddable:
         raise NotEmbeddableError(code, emb.reason)
     c = math.tanh(SQUEEZING) / emb.singular_values[0]
+    # Signal rows sharing an idler support form a block, ordered by first row.
+    rows_by_support: dict[tuple[int, ...], list[int]] = {}
+    for i in range(4):
+        rows_by_support.setdefault(tuple(4 + j for j in range(4) if m[i, j]), []).append(i)
     return EmbeddingSpec(
         code=code,
         scaled_matrix=c * m,
@@ -91,6 +98,8 @@ def make_embedding(code: str) -> EmbeddingSpec:
         rank=emb.rank,
         squeezing=(SQUEEZING,) * emb.rank,
         mean_photon_per_mode=emb.rank * MEAN_PHOTON_SINGLE,
+        blocks=[(tuple(rows), support)
+                for support, rows in rows_by_support.items() if support],
     )
 
 

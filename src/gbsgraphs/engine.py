@@ -4,8 +4,9 @@
 the paper does, from permanents, and serve as the reference.  Every
 embeddable graph is ``rank`` identical K_{a,b} blocks, each one squeezer at
 r = 1 whose n photon pairs split uniformly over the block's modes, so the
-law factorises per block: ``detected_probabilities`` and ``sample`` use that
-product law, with no table and a series whose dropped mass is below 1e-40.
+law factorises over ``EmbeddingSpec.blocks``: ``detected_probabilities`` and
+``sample`` use that product law, with no table and a series whose dropped
+mass is below 1e-40.
 Sampling uses seeded PCG64 streams, bit-reproducible for a fixed numpy
 version; the CLI and ``scripts/run_pipeline.py`` draw sampling and loss from
 the independent streams ``numpy.random.SeedSequence(seed).spawn(2)``.
@@ -152,6 +153,8 @@ def total_photon_distribution(rank: int, pairs: int) -> float:
         raise ValidationError(f"rank must be in 1..4, got {rank}")
     if pairs < 0:
         raise ValidationError(f"pair count must be >= 0, got {pairs}")
+    if pairs > 10 ** 6:   # tanh(1)^(2 pairs) is 0.0; a huge comb overflows float
+        return 0.0
     return (math.comb(pairs + rank - 1, pairs)
             * _SECH ** (2 * rank) * _TANH ** (2 * pairs))
 
@@ -200,13 +203,6 @@ def detected_total_probability(rank: int, k: int, eta: float = 1.0) -> float:
 # Product law of the K_{a,b} blocks
 # ---------------------------------------------------------------------------
 
-def blocks(spec: EmbeddingSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(signal modes 0-3, idler modes 4-7) of each K_{a,b} block of a graph."""
-    parts = graphs.connected_components(graphs.adjacency_for(spec.code))
-    return [(tuple(n for n in nodes if n < 4), tuple(n for n in nodes if n >= 4))
-            for nodes, sig in parts if sig.node_count > 1]
-
-
 def pair_matrix(eta: float, size: int) -> np.ndarray:
     """P[S, D], S, D <= size: a block detects S signal and D idler photons,
     sum over n <= PAIR_DEPTH of sech^2(1) tanh^(2n)(1) Bin(S; n, eta)
@@ -229,7 +225,7 @@ def detected_probabilities(spec: EmbeddingSpec, patterns,
     pats = np.asarray(patterns, dtype=np.int64).reshape(-1, graphs.N_NODES)
     if (pats < 0).any():
         raise ValidationError("pattern counts must be nonnegative")
-    sides = [list(modes) for block in blocks(spec) for modes in block]
+    sides = [list(modes) for block in spec.blocks for modes in block]
     totals = np.array([pats[:, modes].sum(axis=1) for modes in sides])
     # A side total above PAIR_DEPTH lies wholly in the dropped tail, and a
     # photon outside every block never occurs: both get probability 0.
@@ -267,7 +263,7 @@ def capped_event_probabilities(spec: EmbeddingSpec, events: list[int],
     size = min(max(events), 4 * n_max, PAIR_DEPTH)
     pair, side = pair_matrix(eta, size), np.arange(size + 1)
     law = np.ones(1)
-    for sig, idl in blocks(spec):
+    for sig, idl in spec.blocks:
         block = (pair * _within_cap(len(sig), n_max, size)[:, None]
                  * _within_cap(len(idl), n_max, size)[None, :])
         law = np.convolve(law, np.bincount((side[:, None] + side).ravel(),
@@ -429,7 +425,7 @@ def sample(spec: EmbeddingSpec, shots: int,
         raise ValidationError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
     out = np.zeros((shots, graphs.N_NODES), dtype=np.int64)
-    for block in blocks(spec):
+    for block in spec.blocks:
         pairs = rng.geometric(_SECH ** 2, size=shots) - 1
         for modes in block:
             out[:, modes] = rng.multinomial(pairs, [1.0 / len(modes)] * len(modes))

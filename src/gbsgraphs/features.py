@@ -32,6 +32,9 @@ DEFAULT_ORBITS = ((1, 1, 1), (1, 1, 1, 1), (2, 1, 1))
 #: Analytic values below this give meaningless relative deviations.
 DEVIATION_FLOOR = 1e-12
 
+#: match_loss bisects to this width; no loss-factor grid step is finer.
+MATCH_TOL = 1e-4
+
 
 class EventSpec(NamedTuple):
     k: int
@@ -221,15 +224,15 @@ class DeviationCurve:
 
     loss_factors: np.ndarray      # strictly increasing, in [0, 1]
     deviations: np.ndarray        # (grid, components); NaN where undefined
-    defined: np.ndarray           # bool mask matching deviations
     labels: tuple
 
 
 def _require_sampled_events(sampled: FeatureVector) -> None:
     if sampled.provenance != "sampled":
         raise ValidationError("deviation curves need a sampled feature vector")
-    if not all(isinstance(lbl, EventSpec) for lbl in sampled.labels):
-        raise ValidationError("deviation curves are defined for event labels")
+    if not sampled.labels or not all(isinstance(lbl, EventSpec)
+                                     for lbl in sampled.labels):
+        raise ValidationError("deviation curves need one or more event labels")
 
 
 def relative_deviation(sampled: FeatureVector, spec: EmbeddingSpec,
@@ -248,33 +251,41 @@ def relative_deviation(sampled: FeatureVector, spec: EmbeddingSpec,
         raise ValidationError("transmissions must lie in [0, 1]")
     events = [lbl.k for lbl in sampled.labels]
     n_max = sampled.labels[0].n_max
-    rows, mask = [], []
+    rows = []
     for eta in etas:
         theory = fv_events_analytic(spec, events, n_max, LossModel(eta))
         defined = theory.values >= DEVIATION_FLOOR
-        row = np.where(defined,
-                       (sampled.values - theory.values)
-                       / np.where(defined, theory.values, 1.0),
-                       np.nan)
-        rows.append(row)
-        mask.append(defined)
+        rows.append(np.where(defined,
+                             (sampled.values - theory.values)
+                             / np.where(defined, theory.values, 1.0),
+                             np.nan))
     return DeviationCurve(
         loss_factors=np.array([1.0 - e for e in etas]),
         deviations=np.array(rows),
-        defined=np.array(mask),
         labels=sampled.labels,
     )
 
 
+def loss_factor_grid(step: float) -> np.ndarray:
+    """Loss factors 0, step, 2 step, ... up to 1, the last one clamped at 1.
+
+    ``step`` must lie in [MATCH_TOL, 1]: a grid finer than match_loss's
+    bisection adds nothing, and the bound keeps a sweep to 10,001 points.
+    """
+    if not MATCH_TOL <= step <= 1.0:
+        raise ValidationError(
+            f"loss-factor step must lie in [{MATCH_TOL:g}, 1], got {step!r}")
+    return np.minimum(np.arange(0.0, 1.0 + step / 2, step), 1.0)
+
+
 def match_loss(sampled: FeatureVector, spec: EmbeddingSpec,
                component_index: int, step: float = 0.01,
-               tol: float = 1e-4,
                cutoff_pairs: int | None = None) -> float | None:
     """Loss factor where one component's deviation changes sign.
 
-    Scans a loss-factor grid for a sign change of sampled - theory, then
-    bisects the bracketing interval down to ``tol``.  Returns None when the
-    grid shows no sign change.  ``cutoff_pairs`` is accepted and unused.
+    Scans ``loss_factor_grid(step)`` for a sign change of sampled - theory,
+    then bisects down to MATCH_TOL.  Returns None when the grid shows no
+    sign change.  ``cutoff_pairs`` is accepted and unused.
     """
     _require_sampled_events(sampled)
     if not 0 <= component_index < len(sampled.labels):
@@ -287,7 +298,7 @@ def match_loss(sampled: FeatureVector, spec: EmbeddingSpec,
                                     LossModel(1.0 - loss_factor))
         return target - float(theory.values[0])
 
-    grid = [min(float(x), 1.0) for x in np.arange(0.0, 1.0 + step / 2, step)]
+    grid = loss_factor_grid(step).tolist()
     res = [residual(x) for x in grid]
     bracket = None
     for a, b, ra, rb in zip(grid, grid[1:], res, res[1:]):
@@ -299,7 +310,7 @@ def match_loss(sampled: FeatureVector, spec: EmbeddingSpec,
     if bracket is None:
         return grid[-1] if res[-1] == 0.0 else None
     lo, hi, rlo = bracket
-    while hi - lo > tol:
+    while hi - lo > MATCH_TOL:
         mid = 0.5 * (lo + hi)
         rmid = residual(mid)
         if rmid == 0.0:

@@ -29,7 +29,8 @@ def fmt_prob(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _write_csv(path, header: list[str], rows: list[list]) -> Path:
+def write_csv(path, header: list[str], rows: list[list]) -> Path:
+    """Write ``header`` and ``rows`` as UTF-8 CSV; None becomes an empty cell."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -74,7 +75,7 @@ def event_by_class_rows(samples_by_code: dict[str, SampleSet],
 
 def write_event_by_class(rows: list[dict], csv_path, svg_path=None,
                          event_k: int = 6) -> list[Path]:
-    paths = [_write_csv(
+    paths = [write_csv(
         csv_path,
         ["position", "code", "class", "sampled", "stat_error", "analytic"],
         [[r["position"], r["code"], r["class"], fmt_prob(r["sampled"]),
@@ -111,8 +112,8 @@ def deviation_rows(samples: SampleSet, spec: EmbeddingSpec,
                    step: float = 0.01,
                    cutoff_pairs: int | None = None):
     """Deviation curve and matched loss factors (``cutoff_pairs``: accepted, unused)."""
+    loss_factors = features.loss_factor_grid(step)
     sampled = features.fv_events_from_samples(samples, events, n_max)
-    loss_factors = np.arange(0.0, 1.0 + step / 2, step)
     curve = features.relative_deviation(
         sampled, spec, [1.0 - lf for lf in loss_factors])
     matches = {
@@ -124,18 +125,13 @@ def deviation_rows(samples: SampleSet, spec: EmbeddingSpec,
 def write_deviation(curve: features.DeviationCurve, csv_path,
                     svg_path=None) -> list[Path]:
     header = ["loss_factor"] + [features.format_label(lbl) for lbl in curve.labels]
-    rows = []
-    for i, lf in enumerate(curve.loss_factors):
-        row = [fmt_prob(lf)]
-        for j in range(len(curve.labels)):
-            row.append(fmt_prob(curve.deviations[i, j])
-                       if curve.defined[i, j] else "")
-        rows.append(row)
-    paths = [_write_csv(csv_path, header, rows)]
+    rows = [[fmt_prob(lf)] + [fmt_prob(dev) for dev in devs]
+            for lf, devs in zip(curve.loss_factors, curve.deviations)]
+    paths = [write_csv(csv_path, header, rows)]
     if svg_path is not None:
         series = []
         for j, label in enumerate(curve.labels):
-            mask = curve.defined[:, j]
+            mask = ~np.isnan(curve.deviations[:, j])
             series.append(svg.Series(
                 features.format_label(label),
                 [float(x) for x in curve.loss_factors[mask]],
@@ -189,7 +185,7 @@ def cluster_summaries(rows: list[dict]) -> list[ClusterSummary]:
         dispersion = max(float(np.linalg.norm(p - centroid)) for p in pts)
         others = [(other, float(np.linalg.norm(centroids[other] - centroid)))
                   for other in centroids if other != label]
-        nearest, separation = min(others, key=lambda kv: kv[1])
+        nearest, separation = min(others, key=lambda kv: kv[1], default=("", math.nan))
         out.append(ClusterSummary(label, tuple(float(x) for x in centroid),
                                   dispersion, nearest, separation))
     return out
@@ -199,11 +195,11 @@ def write_orbit_space(rows: list[dict], summaries: list[ClusterSummary],
                       csv_path, clusters_csv_path, svg_path=None,
                       orbits=features.DEFAULT_ORBITS) -> list[Path]:
     labels = [features.format_label(o) for o in orbits]
-    paths = [_write_csv(
+    paths = [write_csv(
         csv_path, ["code", "class"] + labels,
         [[r["code"], r["class"]] + [fmt_prob(c) for c in r["coords"]]
          for r in rows])]
-    paths.append(_write_csv(
+    paths.append(write_csv(
         clusters_csv_path,
         ["class"] + [f"centroid_{lbl}" for lbl in labels]
         + ["dispersion", "nearest_class", "separation"],

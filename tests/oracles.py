@@ -8,6 +8,8 @@ import itertools
 
 import numpy as np
 
+from gbsgraphs import graphs
+
 N_NODES = 8
 
 _PERMUTATIONS: np.ndarray | None = None
@@ -73,3 +75,11 @@ def permanent_naive(matrix) -> float:
 
     n = a.shape[0]
     return expand(tuple(range(n)), tuple(range(n)))
+
+
+def blocks(code: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(signal modes 0-3, idler modes 4-7) of each K_{a,b} block, read off a
+    depth-first traversal of the 8-node adjacency, blocks by smallest node."""
+    parts = graphs.connected_components(graphs.adjacency_for(code))
+    return [(tuple(n for n in nodes if n < 4), tuple(n for n in nodes if n >= 4))
+            for nodes, sig in parts if sig.node_count > 1]

@@ -410,6 +410,68 @@ def test_deviation_outputs_grid_and_matches(tmp_path, runner):
     assert "event(k=2,nmax=8)" in payload["matched_loss_factor"]
 
 
+@pytest.fixture()
+def dev_dir(tmp_path, runner):
+    run_in(tmp_path, runner,
+           ["simulate", "1111111111", "--shots", "500", "--seed", "12",
+            "--out", "d.samples"])
+    return tmp_path
+
+
+@pytest.mark.parametrize("step", ["0.006", "0.035"])
+def test_deviation_grid_ends_at_loss_factor_one(dev_dir, runner, step):
+    result = run_in(dev_dir, runner,
+                    ["deviation", "--samples", "d.samples", "--step", step,
+                     "--out", "dev.csv"])
+    assert result.exit_code == 0, result.output
+    lines = (dev_dir / "dev.csv").read_text().splitlines()
+    assert lines[-1].split(",")[0] == "1"
+
+
+@pytest.mark.parametrize("step", ["0", "nan", "inf", "1e-7", "5e-5", "1.5"])
+def test_deviation_rejects_steps_outside_range_quickly(dev_dir, runner, step):
+    start = time.perf_counter()
+    result = run_in(dev_dir, runner,
+                    ["deviation", "--samples", "d.samples", "--step", step,
+                     "--out", "dev.csv"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "step must lie in" in result.output
+
+
+def test_deviation_rejects_empty_event_list(dev_dir, runner):
+    result = run_in(dev_dir, runner,
+                    ["deviation", "--samples", "d.samples", "--events", "",
+                     "--out", "dev.csv"])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "event labels" in result.output
+
+
+_STEP = st.one_of(st.floats(),
+                  st.sampled_from([0.0, -0.0, 1e-7, 5e-5, 0.006, 0.035, 0.5, 1.0]))
+_EVENT = st.one_of(st.integers(-2, 12), st.integers(0, 10 ** 400))
+_EVENTS = st.one_of(
+    st.lists(_EVENT, max_size=4).map(lambda ks: ",".join(map(str, ks))),
+    st.text(alphabet="0123456789,-. x", max_size=10))
+
+
+@given(step=_STEP, events=_EVENTS,
+       n_max=st.one_of(st.integers(-2, 12), st.integers(0, 10 ** 400)))
+@settings(max_examples=40)
+def test_deviation_keeps_the_exit_code_contract(tmp_path_factory, step, events,
+                                                n_max):
+    work = tmp_path_factory.mktemp("fuzz_dev")
+    spec = embedding.make_embedding("1111111111")
+    engine.write_samples(engine.sample(spec, 300, seed=5), work / "d.samples")
+    start = time.perf_counter()
+    result = run_in(work, CliRunner(),
+                    ["deviation", "--samples", "d.samples", "--step", repr(step),
+                     "--events", events, "--n-max", str(n_max), "--out", "dev.csv"])
+    assert time.perf_counter() - start < 10.0
+    assert result.exit_code in (0, 2), (result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 # ---------------------------------------------------------------------------
 # figures
 # ---------------------------------------------------------------------------
@@ -475,6 +537,27 @@ def test_figure_fig4_clusters(tmp_path, runner, sample_dir):
     assert clusters[0].startswith("class,") and "centroid_" in clusters[0]
     assert len(clusters) == 3          # 1K2 and 1K44 present
     assert (tmp_path / "f4.svg").exists()
+
+
+def test_figure_fig3_grid_ends_at_loss_factor_one(tmp_path, runner, sample_dir):
+    result = run_in(tmp_path, runner,
+                    ["figure", "fig3", "--samples",
+                     str(sample_dir / "1111111111.samples"),
+                     "--step", "0.007", "--format", "csv", "--out-prefix", "f3"])
+    assert result.exit_code == 0, result.output
+    lines = (tmp_path / "f3.csv").read_text().splitlines()
+    assert lines[-1].split(",")[0] == "1"
+
+
+def test_figure_fig4_with_one_class_leaves_nearest_class_empty(tmp_path, runner,
+                                                              sample_dir):
+    result = run_in(tmp_path, runner,
+                    ["figure", "fig4", "--samples-dir", str(sample_dir),
+                     "--codes", "0000000100,1000000000", "--out-prefix", "f4"])
+    assert result.exit_code == 0, (result.output, result.exception)
+    clusters = (tmp_path / "f4_clusters.csv").read_text().splitlines()
+    assert len(clusters) == 2
+    assert clusters[1].startswith("1K2,") and clusters[1].endswith(",,")
 
 
 def test_figure_csv_format_skips_svg(tmp_path, runner, sample_dir):

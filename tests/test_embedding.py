@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gbsgraphs import embedding, graphs
 from gbsgraphs.errors import NotEmbeddableError, ValidationError
+from oracles import blocks as blocks_oracle
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -134,6 +135,15 @@ def test_make_embedding_examples():
     assert spec.squeezing == (1.0,)
 
 
+def test_blocks_equal_component_traversal_oracle(embeddable):
+    for code, spec in embeddable:
+        assert spec.blocks == blocks_oracle(code), code
+        assert len(spec.blocks) == spec.rank, code
+        for sig, idl in spec.blocks:
+            assert len(sig) * len(idl) == pytest.approx(
+                spec.singular_values[0] ** 2, rel=1e-12), code
+
+
 def test_make_embedding_rejects_with_reason():
     with pytest.raises(NotEmbeddableError) as err:
         embedding.make_embedding("1100000000")
@@ -164,5 +174,5 @@ def test_mean_photon_total():
     hypothetical = embedding.EmbeddingSpec(
         code="0000000000", scaled_matrix=np.zeros((4, 4)), scale_c=1.0,
         singular_values=(0.0,) * 4, rank=0, squeezing=(),
-        mean_photon_per_mode=0.0)
+        mean_photon_per_mode=0.0, blocks=())
     assert embedding.mean_photon_total(hypothetical) == 0.0

@@ -151,6 +151,15 @@ def test_total_distribution_normalises(rank):
     assert acc == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("rank", [1, 4])
+def test_total_distribution_of_huge_pair_numbers_is_zero(rank):
+    # The closed form already underflows to 0.0 here, and its integer
+    # binomial would overflow float for the larger counts.
+    for pairs in (10 ** 6, 10 ** 6 + 1, 10 ** 120, 10 ** 400):
+        assert engine.total_photon_distribution(rank, pairs) == 0.0
+        assert engine.detected_total_probability(rank, 2 * pairs) == 0.0
+
+
 def test_total_distribution_validates():
     with pytest.raises(ValidationError):
         engine.total_photon_distribution(0, 1)
@@ -243,14 +252,14 @@ def test_every_embeddable_spec_normalises_against_closed_form(embeddable):
 # ---------------------------------------------------------------------------
 
 def test_blocks_split_signal_and_idler_modes():
-    assert engine.blocks(embedding.make_embedding("1111111111")) == [
+    assert embedding.make_embedding("1111111111").blocks == [
         ((0, 1, 2, 3), (4, 5, 6, 7))]
-    assert engine.blocks(embedding.make_embedding("0000000100")) == [((2,), (6,))]
-    blocks = engine.blocks(embedding.make_embedding("0110000000"))
+    assert embedding.make_embedding("0000000100").blocks == [((2,), (6,))]
+    blocks = embedding.make_embedding("0110000000").blocks
     assert len(blocks) == 2
     assert sorted(len(sig) * len(idl) for sig, idl in blocks) == [2, 2]
     for code, spec in embedding.enumerate_embeddable():
-        assert len(engine.blocks(spec)) == spec.rank, code
+        assert len(spec.blocks) == spec.rank, code
 
 
 def test_detected_probabilities_match_every_table_entry(embeddable):
@@ -293,7 +302,7 @@ def test_lossy_detected_probabilities_match_thinned_deep_table(code, specs_by_co
     cutoff = engine.min_cutoff_for_mass(spec.rank, 1.0 - 1e-12)
     table = engine.build_table(spec, cutoff)
     assert engine.total_photon_tail(spec.rank, cutoff) < 1e-12
-    modes = [m for block in engine.blocks(spec) for side in block for m in side]
+    modes = [m for block in spec.blocks for side in block for m in side]
     detected = np.zeros((3 ** len(modes), 8), dtype=np.int64)
     detected[:, modes] = list(itertools.product(range(3), repeat=len(modes)))
     for eta in (0.3, 0.55, 0.9):

@@ -338,7 +338,7 @@ def test_self_deviation_is_zero(specs_by_code):
     sampled = _synthetic_sampled(spec, analytic.values)
     curve = features.relative_deviation(sampled, spec, [1.0])
     assert curve.loss_factors.tolist() == [0.0]
-    assert curve.defined.all()
+    assert not np.isnan(curve.deviations).any()
     assert np.abs(curve.deviations).max() == 0.0
 
 
@@ -351,10 +351,9 @@ def test_deviation_marks_odd_components_undefined(specs_by_code):
     curve = features.relative_deviation(sampled, spec, [1.0, 0.5])
     # eta = 1: odd event impossible, deviation undefined
     row_lossless = list(curve.loss_factors).index(0.0)
-    assert not curve.defined[row_lossless, 1]
     assert np.isnan(curve.deviations[row_lossless, 1])
     row_lossy = list(curve.loss_factors).index(0.5)
-    assert curve.defined[row_lossy, 1]
+    assert not np.isnan(curve.deviations[row_lossy, 1])
 
 
 def test_deviation_requires_sampled_event_vector(specs_by_code):
@@ -405,3 +404,19 @@ def test_match_loss_validates_index(specs_by_code):
     sampled = _synthetic_sampled(spec, [0.1, 0.1, 0.1, 0.1])
     with pytest.raises(ValidationError):
         features.match_loss(sampled, spec, 9)
+
+
+def test_loss_factor_grid_keeps_the_default_grid_and_ends_at_one():
+    assert (features.loss_factor_grid(0.01).tobytes()
+            == np.arange(0.0, 1.0 + 0.01 / 2, 0.01).tobytes())
+    for step in (0.006, 0.007, 0.035):
+        grid = features.loss_factor_grid(step)
+        assert grid[0] == 0.0 and grid[-1] == 1.0, step
+        assert (np.diff(grid) > 0).all(), step
+    assert len(features.loss_factor_grid(features.MATCH_TOL)) == 10_001
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, 5e-5, 1.5])
+def test_loss_factor_grid_rejects_steps_outside_range(step):
+    with pytest.raises(ValidationError):
+        features.loss_factor_grid(step)

@@ -54,6 +54,15 @@ def test_run_pipeline_writes_every_output_reproducibly(tmp_path):
     assert tree_bytes(out) == tree_bytes(second / "pipeline_out")
 
 
+def test_run_pipeline_on_codes_of_one_class(tmp_path):
+    result = run_script("run_pipeline.py",
+                        ["--shots", "300", "--codes", "0000000100,1000000000"],
+                        tmp_path)
+    assert result.returncode == 0, result.stderr
+    clusters = (tmp_path / "pipeline_out" / "fig4_clusters.csv").read_text()
+    assert clusters.splitlines()[1].endswith(",,")
+
+
 def test_orbit_overlap_report_prints_closest_pair(tmp_path):
     result = run_script("orbit_overlap_report.py", ["--etas", "0.55"], tmp_path)
     assert result.returncode == 0, result.stderr
