@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -357,6 +358,7 @@ def build_table(spec: EmbeddingSpec,
                 walk(i + 1, budget - count, d + (count,), current)
 
     walk(0, cutoff_pairs, (), {(0, 0, 0, 0): 1})
+    del walk    # walk's closure holds walk: keep it off the cyclic collector
     items = sorted(entries.items())
     patterns = np.array([p for p, _ in items], dtype=np.int64)
     probs = np.array([v for _, v in items], dtype=float)
@@ -480,6 +482,11 @@ def write_samples(samples: SampleSet, path) -> tuple[Path, Path]:
     return path, meta_path
 
 
+#: Reason given for an integer past Python's int-string limit, which makes
+#: ``json.loads`` raise a plain ValueError.
+_TOO_MANY_DIGITS = (f"an integer has more than {sys.get_int_max_str_digits()} "
+                    "digits")
+
 # Accepted meta values; type(), as JSON true/false load as bool, an int subclass.
 _META_RULES = {
     "loss": (lambda v: v is None or (type(v) in (int, float) and 0 <= v <= 1),
@@ -497,6 +504,8 @@ def _read_meta(meta_path: Path) -> dict:
         raise SampleFormatError(meta_path, 0, "not valid UTF-8")
     except json.JSONDecodeError as exc:
         raise SampleFormatError(meta_path, exc.lineno, f"invalid JSON ({exc.msg})")
+    except ValueError:    # Python's int-string limit, not a JSON error
+        raise SampleFormatError(meta_path, 0, _TOO_MANY_DIGITS)
     if not isinstance(stored, dict):
         raise SampleFormatError(
             meta_path, 0, f"expected a JSON object, got {type(stored).__name__}")
@@ -512,45 +521,62 @@ def _read_meta(meta_path: Path) -> dict:
     return stored
 
 
+def _parse_line(path: Path, lineno: int, raw: bytes) -> list[int] | None:
+    # One raw line checked as one shot; None for a blank or ``#`` line.
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        raise SampleFormatError(path, lineno, "not valid UTF-8")
+    if not line or line.startswith("#"):
+        return None
+    try:
+        value = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SampleFormatError(path, lineno, f"invalid JSON ({exc.msg})")
+    except ValueError:    # Python's int-string limit, not a JSON error
+        raise SampleFormatError(path, lineno, _TOO_MANY_DIGITS)
+    if not isinstance(value, list) or len(value) != graphs.N_NODES:
+        raise SampleFormatError(
+            path, lineno,
+            f"expected {graphs.N_NODES} counts, got "
+            f"{len(value) if isinstance(value, list) else type(value).__name__}")
+    for c in value:
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise SampleFormatError(path, lineno, f"count {c!r} is not an integer")
+        if c < 0:
+            raise SampleFormatError(path, lineno, f"count {c} is negative")
+    if sum(value) > 2 ** 63 - 1:
+        raise SampleFormatError(path, lineno, "counts sum to more than 2^63 - 1")
+    return value
+
+
 def ingest_samples(path) -> SampleSet:
     """Parse a sample file (and its meta companion, when present).
 
     Each line must be UTF-8 holding a JSON array of exactly 8 nonnegative
     integers summing to at most 2^63 - 1; lines starting with ``#`` and
-    blank lines are skipped.  Violations raise with the offending line
-    number.  The meta file must be a UTF-8 JSON object whose ``code`` is
-    null or a valid graph code and whose ``loss``, ``seed`` and
-    ``threshold`` keep ``_META_RULES``; other keys are ignored.
+    blank lines are skipped.  Each distinct line is parsed and checked once,
+    at its first occurrence, and repeats reuse that row, so a violation
+    raises with the number of the first line that holds the bad content.
+    The meta file must be a UTF-8 JSON object whose ``code`` is null or a
+    valid graph code and whose ``loss``, ``seed`` and ``threshold`` keep
+    ``_META_RULES``; other keys are ignored.
     """
     path = Path(path)
-    shots = []
+    rows: list[list[int]] = []
+    index: dict[bytes, int] = {}      # raw line -> its row in rows, -1 to skip
+    order: list[int] = []
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                raise SampleFormatError(path, lineno, "not valid UTF-8")
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SampleFormatError(path, lineno, f"invalid JSON ({exc.msg})")
-            if not isinstance(value, list) or len(value) != graphs.N_NODES:
-                raise SampleFormatError(
-                    path, lineno,
-                    f"expected {graphs.N_NODES} counts, got "
-                    f"{len(value) if isinstance(value, list) else type(value).__name__}")
-            for c in value:
-                if isinstance(c, bool) or not isinstance(c, int):
-                    raise SampleFormatError(path, lineno, f"count {c!r} is not an integer")
-                if c < 0:
-                    raise SampleFormatError(path, lineno, f"count {c} is negative")
-            if sum(value) > 2 ** 63 - 1:
-                raise SampleFormatError(
-                    path, lineno, "counts sum to more than 2^63 - 1")
-            shots.append(value)
-    if not shots:
+            row = index.get(raw)
+            if row is None:
+                value = _parse_line(path, lineno, raw)
+                row = index[raw] = -1 if value is None else len(rows)
+                if value is not None:
+                    rows.append(value)
+            if row >= 0:
+                order.append(row)
+    if not rows:
         raise SampleFormatError(path, 0, "file contains no samples")
 
     meta_kwargs = {"source": "ingested"}
@@ -559,7 +585,7 @@ def ingest_samples(path) -> SampleSet:
         stored = _read_meta(meta_path)
         read = ("code", "seed", "loss", "threshold")
         meta_kwargs.update({key: stored[key] for key in read if key in stored})
-    arr = np.array(shots, dtype=np.int64)
+    arr = np.array(rows, dtype=np.int64)[order]
     if meta_kwargs.get("threshold") and (arr > 1).any():
         raise SampleFormatError(
             path, 0, "meta declares threshold samples but counts exceed 1")

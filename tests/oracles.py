@@ -5,10 +5,15 @@ live with the tests rather than in ``gbsgraphs``.
 """
 
 import itertools
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from gbsgraphs import graphs
+from gbsgraphs import engine, graphs
+from gbsgraphs.errors import SampleFormatError
 
 N_NODES = 8
 
@@ -83,3 +88,62 @@ def blocks(code: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     parts = graphs.connected_components(graphs.adjacency_for(code))
     return [(tuple(n for n in nodes if n < 4), tuple(n for n in nodes if n >= 4))
             for nodes, sig in parts if sig.node_count > 1]
+
+
+def ingest_samples_per_line(path) -> np.ndarray:
+    """The shots of a sample file, decoded, parsed and checked line by line.
+
+    The reader ``engine.ingest_samples`` had before it parsed each distinct
+    line once; it raises the same ``SampleFormatError`` for the same line.
+    The meta file is left to the package.
+    """
+    path = Path(path)
+    shots = []
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise SampleFormatError(path, lineno, "not valid UTF-8")
+            if not line or line.startswith("#"):
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SampleFormatError(path, lineno, f"invalid JSON ({exc.msg})")
+            except ValueError:
+                raise SampleFormatError(
+                    path, lineno, "an integer has more than "
+                    f"{sys.get_int_max_str_digits()} digits")
+            if not isinstance(value, list) or len(value) != graphs.N_NODES:
+                raise SampleFormatError(
+                    path, lineno,
+                    f"expected {graphs.N_NODES} counts, got "
+                    f"{len(value) if isinstance(value, list) else type(value).__name__}")
+            for c in value:
+                if isinstance(c, bool) or not isinstance(c, int):
+                    raise SampleFormatError(path, lineno, f"count {c!r} is not an integer")
+                if c < 0:
+                    raise SampleFormatError(path, lineno, f"count {c} is negative")
+            if sum(value) > 2 ** 63 - 1:
+                raise SampleFormatError(
+                    path, lineno, "counts sum to more than 2^63 - 1")
+            shots.append(value)
+    if not shots:
+        raise SampleFormatError(path, 0, "file contains no samples")
+    return np.array(shots, dtype=np.int64)
+
+
+def assert_ingest_matches_oracle(path):
+    """``ingest_samples`` returns the per-line oracle's shots, or raises its
+    error text."""
+    try:
+        want = ingest_samples_per_line(path)
+    except SampleFormatError as exc:
+        with pytest.raises(SampleFormatError) as err:
+            engine.ingest_samples(path)
+        assert str(err.value) == str(exc)
+        return
+    got = engine.ingest_samples(path).shots
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)

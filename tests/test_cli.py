@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gbsgraphs import catalog, embedding, engine
 from gbsgraphs.cli import cli
+from oracles import assert_ingest_matches_oracle
 
 
 @pytest.fixture()
@@ -230,10 +231,14 @@ def test_ingest_huge_count_reports_only_observed_totals(tmp_path, runner):
     assert report["event_frequencies"] == {"9223372036854775807": 0.0}
 
 
+_LONG_INT = "1" + "0" * 5000    # past Python's 4300-digit int-string limit
+
+
 @pytest.mark.parametrize("line, message", [
     ("[9223372036854775808,0,0,0,0,0,0,0]", "more than 2^63 - 1"),
     ("[9223372036854775807,9223372036854775807,0,0,0,0,0,0]", "more than 2^63 - 1"),
-], ids=["count-2^63", "sum-past-2^63"])
+    ("[" + _LONG_INT + ",0,0,0,0,0,0,0]", "more than 4300 digits"),
+], ids=["count-2^63", "sum-past-2^63", "count-past-digit-limit"])
 def test_ingest_counts_beyond_int64_are_validation_errors(tmp_path, runner,
                                                          line, message):
     (tmp_path / "big.samples").write_text("[0,0,0,0,0,0,0,0]\n" + line + "\n")
@@ -285,9 +290,10 @@ def test_ingest_accepts_known_meta_files(tmp_path, runner, meta):
     ('{"seed": -1}', "seed"),
     ('{"seed": 1.5}', "seed"),
     ('{"threshold": "yes"}', "threshold"),
+    ('{"seed": ' + _LONG_INT + '}', "s.meta.json:0: an integer has more than 4300"),
 ], ids=["malformed-json", "not-an-object", "bad-code", "loss-string",
         "loss-above-1", "loss-bool", "seed-negative", "seed-float",
-        "threshold-string"])
+        "threshold-string", "seed-past-digit-limit"])
 def test_ingest_bad_meta_is_validation_error(tmp_path, runner, meta, message):
     (tmp_path / "s.samples").write_text("[1,0,0,0,1,0,0,0]\n")
     (tmp_path / "s.meta.json").write_text(meta)
@@ -310,7 +316,8 @@ _SHOT_LINE = st.one_of(
     st.lists(_COUNT, min_size=8, max_size=8).map(lambda v: json.dumps(v).encode()),
     st.lists(_COUNT, max_size=10).map(lambda v: json.dumps(v).encode()),
     st.binary(max_size=12).filter(lambda b: b"\n" not in b and b"\r" not in b),
-    st.sampled_from([b"", b"# comment", b"[1,0,0,0,1,0,0,0.5]", b"\xff\xfe"]),
+    st.sampled_from([b"", b"# comment", b"[1,0,0,0,1,0,0,0.5]", b"\xff\xfe",
+                     b"[" + _LONG_INT.encode() + b",0,0,0,0,0,0,0]"]),
 )
 _META_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-5, 2 ** 64),
                         st.floats(allow_nan=True), st.text(max_size=12))
@@ -321,6 +328,7 @@ _META = st.one_of(
         "loss": _META_VALUE, "seed": _META_VALUE, "threshold": _META_VALUE,
     }).map(lambda d: json.dumps(d).encode()),
     st.binary(max_size=16),
+    st.just(b'{"seed": ' + _LONG_INT.encode() + b'}'),
 )
 
 
@@ -339,6 +347,17 @@ def test_ingest_and_fv_keep_the_exit_code_contract(tmp_path_factory, lines, meta
     assert time.perf_counter() - start < 10.0
     assert result.exit_code in (0, 2, 3), (result.output, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@given(lines=st.lists(_SHOT_LINE, max_size=8), repeats=st.lists(
+    st.integers(min_value=0, max_value=7), max_size=8))
+@settings(max_examples=60)
+def test_ingest_matches_per_line_oracle_on_fuzz_lines(tmp_path_factory, lines,
+                                                      repeats):
+    lines = lines + [lines[i] for i in repeats if i < len(lines)]
+    path = tmp_path_factory.mktemp("oracle") / "f.samples"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert_ingest_matches_oracle(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from gbsgraphs import embedding, engine, graphs
 from gbsgraphs.errors import SampleFormatError, ValidationError
-from oracles import permanent_naive
+from oracles import assert_ingest_matches_oracle, permanent_naive
 
 SECH2 = 1.0 / math.cosh(1.0) ** 2
 TANH2 = math.tanh(1.0) ** 2
@@ -599,6 +600,44 @@ def test_ingest_checks_threshold_consistency(tmp_path):
     meta.write_text(json.dumps({"threshold": True}))
     with pytest.raises(SampleFormatError):
         engine.ingest_samples(path)
+
+
+_A, _B = b"[0,0,1,0,0,0,1,0]", b"[1,0,0,0,1,0,0,0]"
+
+
+@pytest.mark.parametrize("content", [
+    (_A + b"\n" + _B + b"\n") * 5 + _A + b"\n",
+    b"[1,2]\n" + _A + b"\n" + _A + b"\n",
+    _A + b"\n" + _B + b"\n[1,2]\n" + _A + b"\n[1,2]\n",
+    _A + b"\n[0,0,0,0,0,0,0,-1]\n" + _A + b"\n[0,0,0,0,0,0,0,-1]\n",
+    b"# h\n\n" + _A + b"\n# h\n\n  \n" + _B + b"\n# h\n\n",
+    _A + b"\r\n" + _B + b"\r\n" + _A + b"\r\n" + _A + b"\n",
+    _A + b"\n" + _B + b"\n" + _B,
+    _A + b"\n\xff\xfe\n" + _A + b"\n\xff\xfe\n",
+    b"\xff" + _A + b"\n",
+    b"# h\n\n# h\n",
+    b"[1" + b"0" * 5000 + b",0,0,0,0,0,0,0]\n" + _A + b"\n",
+], ids=["repeats", "bad-first", "bad-middle-repeated", "negative-repeated",
+        "comments-and-blanks", "crlf", "no-final-newline", "invalid-utf8",
+        "invalid-utf8-first", "no-samples", "too-many-digits"])
+def test_ingest_matches_per_line_oracle(tmp_path, content):
+    path = tmp_path / "x.samples"
+    path.write_bytes(content)
+    assert_ingest_matches_oracle(path)
+
+
+def test_build_table_and_ingest_leave_no_cyclic_garbage(tmp_path, k44_spec):
+    path = tmp_path / "x.samples"
+    path.write_bytes((_A + b"\n" + _B + b"\n# h\n") * 50)
+    gc.collect()
+    gc.disable()
+    try:
+        engine.build_table(k44_spec, 8)
+        assert gc.collect() == 0
+        engine.ingest_samples(path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_meta_path_convention():

@@ -16,11 +16,15 @@ CODES = ["0000000100", "0110000000", "1111111111"]
 PIPELINE_ARGS = ["--shots", "300", "--codes", ",".join(CODES)]
 
 
-def run_script(name, args, cwd):
+def run_python(args, cwd):
     path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def run_script(name, args, cwd):
+    return run_python([str(SCRIPTS / name), *args], cwd)
 
 
 def tree_bytes(root):
@@ -52,6 +56,19 @@ def test_run_pipeline_writes_every_output_reproducibly(tmp_path):
         assert ingested.meta.loss == samples.meta.loss
 
     assert tree_bytes(out) == tree_bytes(second / "pipeline_out")
+
+    # The CLI ingests the written files; its figures equal the pipeline's,
+    # which it drew from the shots in memory.
+    cli_dir = tmp_path / "cli"
+    cli_dir.mkdir()
+    for name in ("fig2", "fig4"):
+        result = run_python(
+            ["-m", "gbsgraphs.cli", "figure", name, "--format", "csv",
+             "--samples-dir", str(out / "samples"), "--codes", ",".join(CODES)],
+            cli_dir)
+        assert result.returncode == 0, result.stderr
+    for name in ("fig2.csv", "fig4.csv", "fig4_clusters.csv"):
+        assert (cli_dir / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_run_pipeline_on_codes_of_one_class(tmp_path):
