@@ -96,12 +96,25 @@ def run(cfg: PipelineConfig) -> None:
     print(f"done in {time.perf_counter() - start:.1f} s -> {cfg.outdir}")
 
 
+def _checked(convert, accept, what):
+    """An argparse type: convert the text, then refuse values ``accept`` rejects."""
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
 def parse_args() -> PipelineConfig:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("pipeline_out"))
-    parser.add_argument("--shots", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--eta", type=float, default=0.55,
+    parser.add_argument("--shots", default=100_000,
+                        type=_checked(int, lambda n: n >= 1, "an integer >= 1"))
+    parser.add_argument("--seed", default=7,
+                        type=_checked(int, lambda n: n >= 0, "an integer >= 0"))
+    parser.add_argument("--eta", default=0.55,
+                        type=_checked(float, lambda e: 0.0 <= e <= 1.0, "in [0, 1]"),
                         help="per-photon transmission (loss factor = 1 - eta)")
     parser.add_argument("--event", type=int, default=6, dest="event_k")
     parser.add_argument("--step", type=float, default=0.01)

@@ -5,8 +5,9 @@ the paper does, from permanents, and serve as the reference.  Every
 embeddable graph is ``rank`` identical K_{a,b} blocks, each one squeezer at
 r = 1 whose n photon pairs split uniformly over the block's modes, so the
 law factorises over ``EmbeddingSpec.blocks``: ``detected_probabilities`` and
-``sample`` use that product law, with no table and a series whose dropped
-mass is below 1e-40.
+``sample`` use that product law, with no table.  Its lossy values come from
+positive-term recurrences of the block's generating function, so nothing is
+truncated and nothing cancels.
 Sampling uses seeded PCG64 streams, bit-reproducible for a fixed numpy
 version; the CLI and ``scripts/run_pipeline.py`` draw sampling and loss from
 the independent streams ``numpy.random.SeedSequence(seed).spawn(2)``.
@@ -35,22 +36,30 @@ DEFAULT_CUTOFF_PAIRS = 8
 _SECH = 1.0 / math.cosh(SQUEEZING)
 _TANH = math.tanh(SQUEEZING)
 
-#: Pair numbers a block's series carries; the dropped mass is SERIES_TAIL.
-PAIR_DEPTH = 169
+#: Pair number past which a block no longer counts.  One block emits M or
+#: more pairs with probability sum_{n >= M} sech^2(1) tanh^(2n)(1) =
+#: tanh(1)^(2M), and M is the least integer with tanh(1)^(2M) < 2^-1077.  A
+#: graph has at most 4 blocks, so an outcome in which any block emits M or more
+#: pairs has probability below 4 * 2^-1077 = 2^-1075, half the smallest
+#: positive double.  A probability made only of such outcomes rounds to 0.0:
+#: a pattern with a side total of M or more, or a detected total above
+#: 2 * rank * (M - 1).  Leaving such outcomes out of a sum moves it by less.
+UNDERFLOW_PAIRS = math.floor(1077 / -math.log2(_TANH ** 2)) + 1
 
-#: Probability that one block emits more than PAIR_DEPTH pairs (< 1e-40).
-SERIES_TAIL = _TANH ** (2 * (PAIR_DEPTH + 1))
 
-# k and log k! for every index the series take: up to 2 * rank * PAIR_DEPTH.
-_COUNTS = np.arange(8 * PAIR_DEPTH + 1)
-_LOG_FACT = np.array([math.lgamma(k + 1) for k in range(len(_COUNTS))])
-_FACT = np.array([float(math.factorial(k)) for k in range(PAIR_DEPTH + 1)])
+def _factorials(count: int) -> tuple[np.ndarray, np.ndarray]:
+    # k! = m * 2^e with m in [0.5, 1), for k < count: m is within an ulp of
+    # exact, however far k! lies past the float range.
+    mant, exp, value = [], [], 1
+    for k in range(count):
+        value *= max(k, 1)
+        exp.append(value.bit_length())
+        shift = max(exp[-1] - 64, 0)
+        mant.append(math.ldexp(float(value >> shift), shift - exp[-1]))
+    return np.array(mant), np.array(exp)
 
-# log of the negative-binomial pair law for each rank, up to 4 * PAIR_DEPTH.
-_PAIRS = _COUNTS[:4 * PAIR_DEPTH + 1]
-_LOG_PAIR_LAW = {rank: (_LOG_FACT[_PAIRS + rank - 1] - _LOG_FACT[rank - 1]
-                        - _LOG_FACT[_PAIRS] + rank * math.log(_SECH ** 2)
-                        + _PAIRS * math.log(_TANH ** 2)) for rank in range(1, 5)}
+
+_FACT_MANT, _FACT_EXP = _factorials(UNDERFLOW_PAIRS)
 
 
 # ---------------------------------------------------------------------------
@@ -181,38 +190,105 @@ def min_cutoff_for_mass(rank: int, mass: float = 0.99,
     return cutoff
 
 
-def detected_total_probability(rank: int, k: int, eta: float = 1.0) -> float:
-    """Probability of detecting k photons in total after uniform loss eta.
+def _thinning(etas: np.ndarray) -> tuple[np.ndarray, ...]:
+    # sech^2(1), t^2 q eta and t^2 eta^2 over 1 - t^2 q^2, t = tanh(1) and
+    # q = 1 - eta; the denominator, written sech^2(1) + t^2 eta (1 + q), is 1
+    # at eta = 1 and sech^2(1) at eta = 0, exactly.
+    t2, q = _TANH ** 2, 1.0 - etas
+    norm = _SECH ** 2 + t2 * etas * (1.0 + q)
+    return _SECH ** 2 / norm, t2 * q * etas / norm, t2 * etas * etas / norm
 
-    Exact without loss.  Otherwise the negative-binomial pair law with both
-    photons of each pair thinned is summed in log space to rank * PAIR_DEPTH
-    pairs, which drops less than rank * SERIES_TAIL.
+
+def detected_total_probabilities(rank: int, events, etas) -> np.ndarray:
+    """P(k photons detected in total after uniform loss eta), one row per
+    transmission in ``etas`` and one column per total k in ``events``.
+
+    With t = tanh(1) and q = 1 - eta, the law's generating function
+    sech^(2 rank)(1) (1 - t^2 (q + eta z)^2)^-rank gives the recurrence
+    n (1 - t^2 q^2) P_n = 2 t^2 q eta (n - 1 + rank) P_{n-1}
+    + t^2 eta^2 (n - 2 + 2 rank) P_{n-2}, from P_0 = (sech^2(1) /
+    (1 - t^2 q^2))^rank: every term is positive, so nothing cancels.  At
+    eta = 1 the values are ``total_photon_distribution``'s, bit for bit.
     """
-    if eta == 1.0:
-        return total_photon_distribution(rank, k // 2) if k % 2 == 0 else 0.0
-    if eta == 0.0 or k > 2 * rank * PAIR_DEPTH:    # all lost, or beyond the series
-        return float(k == 0)
-    lo, hi = (k + 1) // 2, rank * PAIR_DEPTH + 1        # pair numbers lo..hi-1
-    lost = slice(2 * lo - k, 2 * hi - k, 2)             # photons lost, 2 p - k
-    log_terms = (_LOG_PAIR_LAW[rank][lo:hi] + _LOG_FACT[2 * lo:2 * hi:2]
-                 - _LOG_FACT[lost] + _COUNTS[lost] * math.log1p(-eta)
-                 + (k * math.log(eta) - _LOG_FACT[k]))
-    return float(np.exp(log_terms).sum())
+    if not 1 <= rank <= 4:
+        raise ValidationError(f"rank must be in 1..4, got {rank}")
+    etas = np.asarray(etas, dtype=float)
+    out = np.zeros((len(etas), len(events)))
+    columns: dict[int, list[int]] = {}
+    for i, k in enumerate(events):
+        columns.setdefault(k, []).append(i)
+    start, a, b = _thinning(etas)
+    older, old = np.zeros(len(etas)), np.ones(len(etas))
+    for _ in range(rank):
+        old = old * start
+    # Totals above 2 rank (UNDERFLOW_PAIRS - 1) are 0.0 and stay 0.0.
+    bound = 2 * rank * (UNDERFLOW_PAIRS - 1)
+    for n in range(max((k for k in events if k <= bound), default=0) + 1):
+        if n:
+            older, old = old, (2.0 * a * (n - 1 + rank) * old
+                               + b * (n - 2 + 2 * rank) * older) / n
+        out[:, columns.get(n, [])] = old[:, None]
+    out[etas == 1.0] = [total_photon_distribution(rank, k // 2) if k % 2 == 0
+                        else 0.0 for k in events]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Product law of the K_{a,b} blocks
 # ---------------------------------------------------------------------------
 
+def _pair_diagonals(etas, top: int):
+    """Yield P[S, T - S] for S = 0..T, one row per eta, for T = 0..top.
+
+    P[S, D] is the chance that a block detects S signal and D idler photons
+    after uniform loss eta.  With t = tanh(1) and q = 1 - eta, the block's
+    generating function sech^2(1) / (1 - t^2 (q + eta u)(q + eta v)) gives
+    (1 - t^2 q^2) P[S, D] = sech^2(1) [S = D = 0]
+    + t^2 q eta (P[S-1, D] + P[S, D-1]) + t^2 eta^2 P[S-1, D-1]:
+    positive terms, each from the two anti-diagonals before.
+    """
+    old, a, b = _thinning(np.asarray(etas, dtype=float)[:, None])
+    older = np.zeros((len(old), 0))
+    yield old
+    for total in range(1, top + 1):
+        new, step = np.zeros((len(etas), total + 1)), a * old
+        new[:, :total] = step
+        new[:, 1:] += step
+        new[:, 1:total] += b * older
+        older, old = old, new
+        yield new
+
+
 def pair_matrix(eta: float, size: int) -> np.ndarray:
-    """P[S, D], S, D <= size: a block detects S signal and D idler photons,
-    sum over n <= PAIR_DEPTH of sech^2(1) tanh^(2n)(1) Bin(S; n, eta)
-    Bin(D; n, eta)."""
-    n, k = np.arange(PAIR_DEPTH + 1), np.arange(size + 1)[:, None]
-    lost = np.maximum(n - k, 0)
-    binomial = np.exp(_LOG_FACT[n] - _LOG_FACT[np.minimum(k, n)] - _LOG_FACT[lost])
-    thin = np.where(n >= k, binomial * eta ** k * (1.0 - eta) ** lost, 0.0)
-    return (thin * (_SECH ** 2 * _TANH ** (2 * n))) @ thin.T
+    """P[S, D], S, D <= size, at transmission eta (see ``_pair_diagonals``)."""
+    pair = np.zeros((size + 1, size + 1))
+    for total, diag in enumerate(_pair_diagonals([eta], 2 * size)):
+        s = np.arange(max(0, total - size), min(total, size) + 1)
+        pair[s, total - s] = diag[0, s]
+    return pair
+
+
+def _binomial(n, k, modes: int) -> np.ndarray:
+    # C(n, k) (modes - 1)^(n - k) / modes^n for arrays k <= n: the chance that
+    # k of n photons spread uniformly over ``modes`` modes land on a given
+    # one.  m^j is (m / 2^c)^j 2^(c j) with c = (m - 1).bit_length(), so no
+    # factor leaves the float range.
+    c, d = (modes - 2).bit_length(), (modes - 1).bit_length()
+    mant = (_FACT_MANT[n] / (_FACT_MANT[k] * _FACT_MANT[n - k])
+            * ((modes - 1) / 2 ** c) ** (n - k) / (modes / 2 ** d) ** n)
+    return np.ldexp(mant, _FACT_EXP[n] - _FACT_EXP[k] - _FACT_EXP[n - k]
+                    + c * (n - k) - d * n)
+
+
+def _split(counts: np.ndarray) -> np.ndarray:
+    # The chance that each row's total, spread uniformly over its modes, lands
+    # as that row: one binomial per mode but the last.
+    modes = counts.shape[1]
+    rest, prob = counts.sum(axis=1), np.ones(len(counts))
+    for i in range(modes - 1):
+        prob *= _binomial(rest, counts[:, i], modes - i)
+        rest = rest - counts[:, i]
+    return prob
 
 
 def detected_probabilities(spec: EmbeddingSpec, patterns,
@@ -221,24 +297,24 @@ def detected_probabilities(spec: EmbeddingSpec, patterns,
 
     A block whose sides detect S and D photons contributes P[S, D] (see
     ``pair_matrix``) times the two uniform multinomial splits, which equals
-    ``pattern_probability`` thinned per mode up to rank * SERIES_TAIL.
+    ``pattern_probability`` thinned per mode.
     """
     pats = np.asarray(patterns, dtype=np.int64).reshape(-1, graphs.N_NODES)
     if (pats < 0).any():
         raise ValidationError("pattern counts must be nonnegative")
     sides = [list(modes) for block in spec.blocks for modes in block]
     totals = np.array([pats[:, modes].sum(axis=1) for modes in sides])
-    # A side total above PAIR_DEPTH lies wholly in the dropped tail, and a
-    # photon outside every block never occurs: both get probability 0.
-    live = ((pats <= PAIR_DEPTH).all(axis=1) & (totals <= PAIR_DEPTH).all(axis=0)
+    # A count or side total of UNDERFLOW_PAIRS or more has probability 0.0,
+    # and a photon outside every block never occurs.  Testing the counts first
+    # also keeps a side total that wrapped round int64 out.
+    live = ((pats < UNDERFLOW_PAIRS).all(axis=1)
+            & (totals < UNDERFLOW_PAIRS).all(axis=0)
             & ~np.delete(pats, sum(sides, []), axis=1).any(axis=1))
     pats, totals = np.where(live[:, None], pats, 0), np.where(live, totals, 0)
     pair = pair_matrix(eta, int(totals.max(initial=0)))
     prob = live.astype(float)
-    for modes, total in zip(sides, totals):
-        # The uniform split: a multinomial coefficient over len(modes)^total.
-        prob *= (_FACT[total] / _FACT[pats[:, modes]].prod(axis=1)
-                 / float(len(modes)) ** total)
+    for modes in sides:
+        prob *= _split(pats[:, modes])
     for signal, idler in zip(totals[::2], totals[1::2]):
         prob *= pair[signal, idler]
     return prob
@@ -246,30 +322,62 @@ def detected_probabilities(spec: EmbeddingSpec, patterns,
 
 def _within_cap(modes: int, n_max: int, size: int) -> np.ndarray:
     # c[S], S <= size: chance that S photons spread uniformly over ``modes``
-    # modes put none above n_max, S!/modes^S [t^S] (sum_{j<=n_max} t^j/j!)^modes.
-    power = np.eye(1, size + 1)[0]
-    for _ in range(modes):
-        power = np.convolve(power, 1.0 / _FACT[:min(n_max, size) + 1])[:size + 1]
-    return power * _FACT[:size + 1] / float(modes) ** np.arange(size + 1)
+    # modes put none above n_max.  Mode by mode: the first takes j of the S
+    # photons with chance Bin(j; S, 1/modes), the others split the rest.
+    top = min(n_max, size)
+    side = np.arange(size + 1)[:, None]
+    taken = np.arange(top + 1)
+    ok = taken <= side
+    taken = np.where(ok, taken, 0)
+    cap = (side[:, 0] <= top).astype(float)
+    for m in range(2, modes + 1):
+        cap = (np.where(ok, _binomial(side, taken, m), 0.0)
+               * cap[side - taken]).sum(axis=1)
+    return cap
+
+
+def _convolve_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(x), x.shape[1] + y.shape[1] - 1))
+    for j in range(y.shape[1]):
+        out[:, j:j + x.shape[1]] += y[:, j:j + 1] * x
+    return out
 
 
 def capped_event_probabilities(spec: EmbeddingSpec, events: list[int],
-                               n_max: int, eta: float = 1.0) -> np.ndarray:
-    """P(k photons detected, none above n_max on any mode) for each k.
+                               n_max: int, etas) -> np.ndarray:
+    """P(k photons detected, none above n_max on any mode), one row per
+    transmission in ``etas`` and one column per total k in ``events``.
 
     The sum over the event's member patterns, grouped by block: sides that
     detect S and D photons contribute P[S, D] times the chances that both
     splits stay within the cap.  No member is listed, so cost stays bounded.
     """
-    size = min(max(events), 4 * n_max, PAIR_DEPTH)
-    pair, side = pair_matrix(eta, size), np.arange(size + 1)
-    law = np.ones(1)
-    for sig, idl in spec.blocks:
-        block = (pair * _within_cap(len(sig), n_max, size)[:, None]
-                 * _within_cap(len(idl), n_max, size)[None, :])
-        law = np.convolve(law, np.bincount((side[:, None] + side).ravel(),
-                                           weights=block.ravel()))
-    return np.array([law[k] if k < len(law) else 0.0 for k in events])
+    etas = np.asarray(etas, dtype=float)
+    size = min(max(events), 4 * n_max, UNDERFLOW_PAIRS - 1)     # per side
+    top = min(max(events), 2 * size)                            # per block
+    rows = max(1, 2 ** 20 // (top + 1))     # etas per pass, to bound memory
+    if len(etas) > rows:
+        return np.concatenate([
+            capped_event_probabilities(spec, events, n_max, etas[i:i + rows])
+            for i in range(0, len(etas), rows)])
+    # The blocks are one K_{a,b} up to orientation, and P[S, D] = P[D, S],
+    # so every block's law is the first one's.
+    sig, idl = (len(modes) for modes in spec.blocks[0])
+    caps = {m: _within_cap(m, n_max, size) for m in {sig, idl}}
+    weights = np.outer(caps[sig], caps[idl])
+    block = np.zeros((len(etas), top + 1))
+    for total, diag in enumerate(_pair_diagonals(etas, top)):
+        s = np.arange(max(0, total - size), min(total, size) + 1)
+        block[:, total] = np.einsum("ij,j->i", diag[:, s[0]:s[-1] + 1],
+                                    weights[s, total - s])
+    law = block
+    for _ in range(spec.rank - 1):
+        law = _convolve_rows(law, block)
+    out = np.zeros((len(etas), len(events)))
+    for i, k in enumerate(events):
+        if k < law.shape[1]:
+            out[:, i] = law[:, k]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ def validate_orbit(orbit) -> OrbitId:
         raise ValidationError(f"orbit parts must be positive, got {orbit}")
     if any(a < b for a, b in zip(orbit, orbit[1:])):
         raise ValidationError(f"orbit parts must be nonincreasing, got {orbit}")
+    if sum(orbit) > 2 ** 63 - 1:
+        raise ValidationError("orbit parts sum to more than 2^63 - 1")
     return orbit
 
 
@@ -95,7 +97,7 @@ class FeatureVector:
     provenance: str               # "sampled" | "analytic"
     loss_eta: float
     stat_error: np.ndarray | None = None   # binomial, sampled only
-    tail_bound: np.ndarray | None = None   # dropped series mass, analytic only
+    tail_bound: np.ndarray | None = None   # analytic only: 0, the values are exact
 
 
 def format_label(label) -> str:
@@ -160,17 +162,32 @@ def fv_orbits_from_samples(samples: SampleSet,
 # Analytic feature vectors
 # ---------------------------------------------------------------------------
 
+def _event_law(spec: EmbeddingSpec, events: list[int], n_max: int,
+               etas) -> np.ndarray:
+    # One row per transmission, one column per event total: an open cap
+    # (n_max >= k) reads the total-count law, a binding cap sums the product
+    # law per block.
+    out = np.empty((len(etas), len(events)))
+    open_cap = [i for i, k in enumerate(events) if k <= n_max]
+    capped = [i for i, k in enumerate(events) if k > n_max]
+    if open_cap:
+        out[:, open_cap] = engine.detected_total_probabilities(
+            spec.rank, [events[i] for i in open_cap], etas)
+    if capped:
+        out[:, capped] = engine.capped_event_probabilities(
+            spec, [events[i] for i in capped], n_max, etas)
+    return out
+
+
 def fv_events_analytic(spec: EmbeddingSpec, events: Sequence[int],
                        n_max: int = DEFAULT_MAX_PER_MODE,
                        loss: LossModel | None = None,
                        cutoff_pairs: int | None = None) -> FeatureVector:
     """Exact event probabilities.
 
-    An open cap (n_max >= k) reads the total-count law, exact with
-    tail_bound 0 when lossless; a binding cap sums the product law per
-    block.  Other values report tail_bound rank * SERIES_TAIL, an upper
-    bound on the mass their series drop.  ``cutoff_pairs`` is accepted
-    and unused.
+    An open cap (n_max >= k) reads the total-count law, a binding cap sums
+    the product law per block; both are exact, so tail_bound is 0.
+    ``cutoff_pairs`` is accepted and unused.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
@@ -178,20 +195,12 @@ def fv_events_analytic(spec: EmbeddingSpec, events: Sequence[int],
     events = [int(k) for k in events]
     if any(k < 0 for k in events):
         raise ValidationError("event totals must be nonnegative")
-    capped = [k for k in events if k > n_max]
-    capped_values = (dict(zip(capped, engine.capped_event_probabilities(
-        spec, capped, n_max, eta))) if capped else {})
-    values = [capped_values[k] if k > n_max
-              else engine.detected_total_probability(spec.rank, k, eta)
-              for k in events]
-    series_tail = spec.rank * engine.SERIES_TAIL
     return FeatureVector(
         labels=tuple(EventSpec(k, n_max) for k in events),
-        values=np.array(values, dtype=float),
+        values=_event_law(spec, events, n_max, [eta])[0],
         provenance="analytic",
         loss_eta=eta,
-        tail_bound=np.array([0.0 if k <= n_max and eta == 1.0 else series_tail
-                             for k in events]),
+        tail_bound=np.zeros(len(events)),
     )
 
 
@@ -199,8 +208,8 @@ def fv_orbits_analytic(spec: EmbeddingSpec, orbits: Sequence[OrbitId],
                        loss: LossModel | None = None,
                        cutoff_pairs: int | None = None) -> FeatureVector:
     """Exact orbit probabilities: the product law summed over each orbit's
-    member patterns, tail_bound rank * SERIES_TAIL.  ``cutoff_pairs`` is
-    accepted and unused."""
+    member patterns, so tail_bound is 0.  ``cutoff_pairs`` is accepted and
+    unused."""
     eta = 1.0 if loss is None else loss.eta
     orbits = [validate_orbit(o) for o in orbits]
     values = [float(engine.detected_probabilities(spec, orbit_patterns(o), eta).sum())
@@ -210,7 +219,7 @@ def fv_orbits_analytic(spec: EmbeddingSpec, orbits: Sequence[OrbitId],
         values=np.array(values),
         provenance="analytic",
         loss_eta=eta,
-        tail_bound=np.full(len(orbits), spec.rank * engine.SERIES_TAIL),
+        tail_bound=np.zeros(len(orbits)),
     )
 
 
@@ -225,6 +234,7 @@ class DeviationCurve:
     loss_factors: np.ndarray      # strictly increasing, in [0, 1]
     deviations: np.ndarray        # (grid, components); NaN where undefined
     labels: tuple
+    theory: np.ndarray            # (grid, components) analytic values
 
 
 def _require_sampled_events(sampled: FeatureVector) -> None:
@@ -239,9 +249,10 @@ def relative_deviation(sampled: FeatureVector, spec: EmbeddingSpec,
                        transmissions: Sequence[float]) -> DeviationCurve:
     """(sampled - theory(eta)) / theory(eta) per component over an eta grid.
 
-    Rows are ordered by increasing loss factor 1 - eta.  Components whose
-    analytic value sits below ``DEVIATION_FLOOR`` are undefined (NaN) at that
-    grid point; consumers must skip them.
+    Rows are ordered by increasing loss factor 1 - eta, and the whole grid is
+    one evaluation of the law.  Components whose analytic value sits below
+    ``DEVIATION_FLOOR`` are undefined (NaN) at that grid point; consumers
+    must skip them.
     """
     _require_sampled_events(sampled)
     etas = sorted(set(float(e) for e in transmissions), reverse=True)
@@ -249,20 +260,15 @@ def relative_deviation(sampled: FeatureVector, spec: EmbeddingSpec,
         raise ValidationError("empty transmission grid")
     if etas[0] > 1.0 or etas[-1] < 0.0:
         raise ValidationError("transmissions must lie in [0, 1]")
-    events = [lbl.k for lbl in sampled.labels]
-    n_max = sampled.labels[0].n_max
-    rows = []
-    for eta in etas:
-        theory = fv_events_analytic(spec, events, n_max, LossModel(eta))
-        defined = theory.values >= DEVIATION_FLOOR
-        rows.append(np.where(defined,
-                             (sampled.values - theory.values)
-                             / np.where(defined, theory.values, 1.0),
-                             np.nan))
+    theory = _event_law(spec, [lbl.k for lbl in sampled.labels],
+                        sampled.labels[0].n_max, etas)
+    defined = theory >= DEVIATION_FLOOR
     return DeviationCurve(
         loss_factors=np.array([1.0 - e for e in etas]),
-        deviations=np.array(rows),
+        deviations=np.where(defined, (sampled.values - theory)
+                            / np.where(defined, theory, 1.0), np.nan),
         labels=sampled.labels,
+        theory=theory,
     )
 
 
@@ -283,23 +289,37 @@ def match_loss(sampled: FeatureVector, spec: EmbeddingSpec,
                cutoff_pairs: int | None = None) -> float | None:
     """Loss factor where one component's deviation changes sign.
 
-    Scans ``loss_factor_grid(step)`` for a sign change of sampled - theory,
-    then bisects down to MATCH_TOL.  Returns None when the grid shows no
-    sign change.  ``cutoff_pairs`` is accepted and unused.
+    Evaluates the component on ``loss_factor_grid(step)`` in one call, then
+    hands over to ``match_on_grid``.  ``cutoff_pairs`` is accepted and unused.
     """
     _require_sampled_events(sampled)
     if not 0 <= component_index < len(sampled.labels):
         raise ValidationError(f"component index {component_index} out of range")
     label = sampled.labels[component_index]
+    grid = loss_factor_grid(step)
+    theory = _event_law(spec, [label.k], label.n_max, 1.0 - grid)[:, 0]
+    return match_on_grid(sampled, spec, component_index, grid, theory)
+
+
+def match_on_grid(sampled: FeatureVector, spec: EmbeddingSpec,
+                  component_index: int, loss_factors: np.ndarray,
+                  theory: np.ndarray) -> float | None:
+    """Loss factor where one component's sampled - theory changes sign.
+
+    ``theory`` holds the component's analytic values at the increasing
+    ``loss_factors``.  The first sign change on that grid brackets the
+    match, and bisection narrows it to MATCH_TOL.  Returns None when the
+    grid shows no sign change.
+    """
+    label = sampled.labels[component_index]
     target = float(sampled.values[component_index])
 
     def residual(loss_factor: float) -> float:
-        theory = fv_events_analytic(spec, [label.k], label.n_max,
-                                    LossModel(1.0 - loss_factor))
-        return target - float(theory.values[0])
+        return target - float(_event_law(spec, [label.k], label.n_max,
+                                         [1.0 - loss_factor])[0, 0])
 
-    grid = loss_factor_grid(step).tolist()
-    res = [residual(x) for x in grid]
+    grid = np.asarray(loss_factors, dtype=float).tolist()
+    res = (target - np.asarray(theory, dtype=float)).tolist()
     bracket = None
     for a, b, ra, rb in zip(grid, grid[1:], res, res[1:]):
         if ra == 0.0:

@@ -111,13 +111,15 @@ def deviation_rows(samples: SampleSet, spec: EmbeddingSpec,
                    n_max: int = features.DEFAULT_MAX_PER_MODE,
                    step: float = 0.01,
                    cutoff_pairs: int | None = None):
-    """Deviation curve and matched loss factors (``cutoff_pairs``: accepted, unused)."""
+    """Deviation curve and matched loss factors, from one evaluation of the
+    grid (``cutoff_pairs``: accepted, unused)."""
     loss_factors = features.loss_factor_grid(step)
     sampled = features.fv_events_from_samples(samples, events, n_max)
-    curve = features.relative_deviation(
-        sampled, spec, [1.0 - lf for lf in loss_factors])
+    curve = features.relative_deviation(sampled, spec, 1.0 - loss_factors)
+    # 1 - loss factor falls strictly along the grid, so rows stay aligned.
     matches = {
-        features.format_label(label): features.match_loss(sampled, spec, i, step=step)
+        features.format_label(label): features.match_on_grid(
+            sampled, spec, i, loss_factors, curve.theory[:, i])
         for i, label in enumerate(sampled.labels)}
     return curve, matches
 

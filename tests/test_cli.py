@@ -398,6 +398,32 @@ def test_fv_orbits_on_lossy_samples(tmp_path, runner):
     assert value > 0.0
 
 
+_PART = st.one_of(st.integers(1, 4), st.integers(1, 10 ** 400),
+                  st.sampled_from([1370, 2 ** 62, 2 ** 63 - 1, 2 ** 63]))
+_ORBIT = st.lists(_PART, min_size=1, max_size=9).map(
+    lambda parts: ",".join(map(str, sorted(parts, reverse=True))))
+
+
+@given(orbits=st.lists(_ORBIT, min_size=1, max_size=3).map(";".join),
+       source=st.sampled_from([["--code", "0000000100"], ["--code", "1111111111"],
+                               ["--samples", "f.samples"]]),
+       loss=st.one_of(st.none(), st.floats(), st.floats(0.0, 1.0)))
+@settings(max_examples=60)
+def test_fv_orbits_keep_the_exit_code_contract(tmp_path_factory, orbits, source,
+                                                loss):
+    work = tmp_path_factory.mktemp("fuzz_orbits")
+    spec = embedding.make_embedding("1111111111")
+    engine.write_samples(engine.sample(spec, 200, seed=3), work / "f.samples")
+    args = ["fv", *source, "--orbits", orbits, "--out", "f.csv"]
+    if loss is not None:
+        args += ["--loss", repr(loss)]
+    start = time.perf_counter()
+    result = run_in(work, CliRunner(), args)
+    assert time.perf_counter() - start < 10.0
+    assert result.exit_code in (0, 2), (result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_fv_analytic_only_needs_no_samples(tmp_path, runner):
     result = run_in(tmp_path, runner,
                     ["fv", "--code", "0110000000", "--events", "2,4",

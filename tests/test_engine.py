@@ -158,7 +158,8 @@ def test_total_distribution_of_huge_pair_numbers_is_zero(rank):
     # binomial would overflow float for the larger counts.
     for pairs in (10 ** 6, 10 ** 6 + 1, 10 ** 120, 10 ** 400):
         assert engine.total_photon_distribution(rank, pairs) == 0.0
-        assert engine.detected_total_probability(rank, 2 * pairs) == 0.0
+        assert engine.detected_total_probabilities(
+            rank, [2 * pairs], [1.0, 0.5]).tolist() == [[0.0], [0.0]]
 
 
 def test_total_distribution_validates():
@@ -331,10 +332,10 @@ def test_detected_total_matches_pair_law_series(rank):
             engine.total_photon_distribution(rank, pairs) * math.comb(2 * pairs, k)
             * eta ** k * (1 - eta) ** (2 * pairs - k)
             for pairs in range((k + 1) // 2, 400))
-        assert engine.detected_total_probability(rank, k, eta) == pytest.approx(
-            want, rel=1e-12), k
-    assert engine.detected_total_probability(rank, 0, 0.0) == 1.0
-    assert engine.detected_total_probability(rank, 10 ** 9, 0.5) == 0.0
+        assert engine.detected_total_probabilities(rank, [k], [eta])[0, 0] == (
+            pytest.approx(want, rel=1e-12)), k
+    assert engine.detected_total_probabilities(rank, [0], [0.0])[0, 0] == 1.0
+    assert engine.detected_total_probabilities(rank, [10 ** 9], [0.5])[0, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +482,7 @@ def test_total_after_loss_matches_binomially_thinned_law(k44_spec):
                             engine.LossModel(eta), seed=32)
     totals = out.shots.sum(axis=1)
     for k in (0, 1, 2, 3, 4, 5):
-        p = engine.detected_total_probability(1, k, eta)
+        p = engine.detected_total_probabilities(1, [k], [eta])[0, 0]
         se = math.sqrt(p * (1 - p) / shots)
         assert abs((totals == k).mean() - p) < 4 * se, k
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsgraphs import embedding, engine, features
+from gbsgraphs import embedding, engine, features, figures
 from gbsgraphs.engine import LossModel, SampleMeta, SampleSet
 from gbsgraphs.errors import ValidationError
 from oracles import orbit_patterns as orbit_patterns_oracle
@@ -371,6 +371,29 @@ def test_match_loss_zero_for_lossless_selfmatch(specs_by_code):
         matched = features.match_loss(sampled, spec, i)
         assert matched is not None
         assert abs(matched) < 1e-3
+
+
+@pytest.mark.parametrize("n_max", [8, 1])
+def test_deviation_rows_evaluate_the_grid_once(specs_by_code, monkeypatch, n_max):
+    # One law call for the whole grid, then one per bisection step; the
+    # matches equal match_loss's own.
+    spec = specs_by_code["1111111111"]
+    samples = engine.apply_loss(engine.sample(spec, 3000, seed=40),
+                                LossModel(0.55), seed=41)
+    events = [2, 3, 4, 6]
+    sampled = features.fv_events_from_samples(samples, events, n_max)
+    alone = [features.match_loss(sampled, spec, i) for i in range(4)]
+    calls = []
+    for name in ("detected_total_probabilities", "capped_event_probabilities"):
+        def counted(*args, law=getattr(engine, name)):
+            calls.append(len(args[-1]))
+            return law(*args)
+        monkeypatch.setattr(engine, name, counted)
+    curve, matches = figures.deviation_rows(samples, spec, events, n_max, step=0.01)
+    assert curve.deviations.shape == (101, 4)
+    assert [n for n in calls if n > 1] == [101]
+    assert len(calls) - 1 <= 4 * 7      # bisection halves 0.01 to MATCH_TOL
+    assert list(matches.values()) == alone
 
 
 def test_match_loss_recovers_thinning_level(specs_by_code):

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gbsgraphs import engine
 
@@ -78,6 +79,17 @@ def test_run_pipeline_on_codes_of_one_class(tmp_path):
     assert result.returncode == 0, result.stderr
     clusters = (tmp_path / "pipeline_out" / "fig4_clusters.csv").read_text()
     assert clusters.splitlines()[1].endswith(",,")
+
+
+@pytest.mark.parametrize("args", [["--eta", "1.5"], ["--eta", "nan"],
+                                  ["--eta", "-0.1"], ["--seed", "-1"],
+                                  ["--shots", "0"], ["--shots", "x"]])
+def test_run_pipeline_rejects_bad_arguments(tmp_path, args):
+    result = run_script("run_pipeline.py", [*args, "--codes", CODES[0]], tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "error: argument" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "pipeline_out").exists()
 
 
 def test_orbit_overlap_report_prints_closest_pair(tmp_path):
