@@ -1,5 +1,5 @@
 """Command-line surface: enumerate, classify, embed, simulate, ingest, fv,
-deviation, figure.
+deviation, figure, pipeline, overlap.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 internal invariant
 breach.  Every command is deterministic given its options and seed.
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import time
 from pathlib import Path
 
 import click
@@ -309,12 +311,32 @@ def _write_deviation(sample_path, code, step, csv_path, svg_path=None,
     code = code or samples.meta.code
     if code is None:
         raise ValidationError("no code given and none recorded in the metadata")
+    paths, matches = _fig3(samples, code, step, csv_path, svg_path, events, n_max)
+    _echo_json({"code": code, "matched_loss_factor": matches})
+    return paths
+
+
+def _fig2(samples_by_code, event_k, csv_path, svg_path):
+    rows = figures.event_by_class_rows(samples_by_code, event_k)
+    return figures.write_event_by_class(rows, csv_path, svg_path, event_k)
+
+
+def _fig3(samples, code, step, csv_path, svg_path, events=None,
+          n_max=features.DEFAULT_MAX_PER_MODE):
+    """Write one graph's deviation grid; return the paths and matched loss factors."""
     spec = make_embedding(code)
     event_list = features.DEFAULT_EVENTS if events is None else _parse_events(events)
     curve, matches = figures.deviation_rows(samples, spec, event_list, n_max, step)
-    paths = figures.write_deviation(curve, csv_path, svg_path)
-    _echo_json({"code": code, "matched_loss_factor": matches})
-    return paths
+    return figures.write_deviation(curve, csv_path, svg_path), matches
+
+
+def _fig4(samples_by_code, csv_path, clusters_path, svg_path):
+    """Write the orbit-space figure; return the paths and the cluster summaries."""
+    rows = figures.orbit_space_rows(samples_by_code)
+    summaries = figures.cluster_summaries(rows)
+    paths = figures.write_orbit_space(rows, summaries, csv_path, clusters_path,
+                                      svg_path)
+    return paths, summaries
 
 
 def _load_sample_dir(directory, codes):
@@ -355,26 +377,149 @@ def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
     svg_path = Path(f"{prefix}.svg") if fmt == "svg" else None
     code_list = [c.strip() for c in codes.split(",")] if codes else None
 
-    if name == "fig2":
-        if samples_dir is None:
-            raise ValidationError("fig2 needs --samples-dir")
-        samples_by_code = _load_sample_dir(samples_dir, code_list)
-        rows = figures.event_by_class_rows(samples_by_code, event_k)
-        paths = figures.write_event_by_class(rows, csv_path, svg_path, event_k)
-    elif name == "fig3":
+    if name == "fig3":
         if sample_path is None:
             raise ValidationError("fig3 needs --samples")
         paths = _write_deviation(sample_path, code, step, csv_path, svg_path)
     else:
         if samples_dir is None:
-            raise ValidationError("fig4 needs --samples-dir")
+            raise ValidationError(f"{name} needs --samples-dir")
         samples_by_code = _load_sample_dir(samples_dir, code_list)
-        rows = figures.orbit_space_rows(samples_by_code)
-        summaries = figures.cluster_summaries(rows)
-        clusters_path = Path(f"{prefix}_clusters.csv")
-        paths = figures.write_orbit_space(rows, summaries, csv_path,
-                                          clusters_path, svg_path)
+        if name == "fig2":
+            paths = _fig2(samples_by_code, event_k, csv_path, svg_path)
+        else:
+            paths, _ = _fig4(samples_by_code, csv_path,
+                             Path(f"{prefix}_clusters.csv"), svg_path)
     click.echo("wrote " + ", ".join(str(p) for p in paths))
+
+
+FIG3_CODE = "1111111111"  # the only connected embeddable graph
+
+
+@cli.command("pipeline")
+@click.option("--outdir", type=click.Path(file_okay=False, path_type=Path),
+              default="pipeline_out", show_default=True)
+@click.option("--shots", type=click.IntRange(min=1), default=100_000,
+              show_default=True, help="Shots per graph.")
+@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
+@click.option("--eta", type=float, default=0.55, show_default=True,
+              help="Per-photon transmission in [0, 1]; the loss factor is 1 - eta.")
+@click.option("--event", "event_k", type=click.IntRange(min=0), default=6,
+              show_default=True, help="Event total plotted by fig2.")
+@click.option("--step", type=float, default=0.01, show_default=True,
+              help="Loss-factor grid step of fig3, in [1e-4, 1].")
+@click.option("--codes", default="",
+              help="Comma list restricting the run to a subset of codes.")
+@_mapped_errors
+def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
+    """End-to-end experiment: catalog, per-graph samples, and all three figures.
+
+    Writes catalog.json, samples/<code>.samples (+ meta), fig2, fig3 (+
+    fig3_matches.json) and fig4 (+ fig4_clusters.csv) into OUTDIR, after
+    checking every option.  Graph i of the catalog draws shots and loss from
+    SeedSequence(seed).spawn(75)[i].spawn(2); the figures take them in memory.
+    """
+    loss = LossModel(eta)
+    features.loss_factor_grid(step)
+    wanted = {make_embedding(c).code for c in codes.split(",") if c}
+
+    start = time.perf_counter()
+    (outdir / "samples").mkdir(parents=True, exist_ok=True)
+    records = catalog.build_catalog()
+    catalog.write_catalog(records, outdir / "catalog.json")
+    click.echo(f"catalog: {len(records)} embeddable graphs")
+
+    samples = {}
+    specs = enumerate_embeddable()
+    streams = np.random.SeedSequence(seed).spawn(len(specs))
+    for (code, spec), stream in zip(specs, streams):
+        if wanted and code not in wanted:
+            continue
+        sample_stream, loss_stream = stream.spawn(2)
+        samples[code] = sample(spec, shots, sample_stream)
+        if eta < 1.0:
+            samples[code] = apply_loss(samples[code], loss, loss_stream)
+        write_samples(samples[code], outdir / "samples" / f"{code}.samples")
+    click.echo(f"samples: {len(samples)} graphs x {shots} shots "
+               f"at eta={eta} in {time.perf_counter() - start:.1f} s")
+
+    _fig2(samples, event_k, outdir / "fig2.csv", outdir / "fig2.svg")
+    click.echo("fig2: event values per graph")
+
+    if FIG3_CODE in samples:
+        _, matches = _fig3(samples[FIG3_CODE], FIG3_CODE, step,
+                           outdir / "fig3.csv", outdir / "fig3.svg")
+        (outdir / "fig3_matches.json").write_text(
+            json.dumps(matches, indent=2, sort_keys=True) + "\n")
+        click.echo(f"fig3: matched loss factors {matches}")
+
+    _, summaries = _fig4(samples, outdir / "fig4.csv",
+                         outdir / "fig4_clusters.csv", outdir / "fig4.svg")
+    separated = sum(1 for s in summaries if s.separation > s.dispersion)
+    click.echo(f"fig4: {separated}/{len(summaries)} classes separate from "
+               f"their nearest neighbour")
+    click.echo(f"done in {time.perf_counter() - start:.1f} s -> {outdir}")
+
+
+#: One representative code per class, compared by ``overlap``.
+CLASS_REPRESENTATIVES = {
+    "1K2": "0000000100",
+    "2K2": "0010000000",
+    "1C4": "1100100000",
+    "2P3": "0110000000",
+    "3K2": "0000001100",
+    "1K33": "1011000111",
+    "2S3": "0111000000",
+    "4K2": "0100000101",
+    "2C4": "0011011000",
+    "1K44": "1111111111",
+}
+
+#: The class pairs whose orbit-space distance ``overlap`` prints.
+OVERLAP_PAIRS = (("2P3", "2S3"), ("2K2", "2P3"), ("1C4", "1K33"))
+
+
+@cli.command("overlap")
+@click.option("--etas", default="0.40,0.55,0.70,0.85", show_default=True,
+              help="Comma list of transmissions to sweep.")
+@click.option("--shots", type=click.IntRange(min=1), default=100_000,
+              show_default=True, help="Shots per graph behind the noise floor.")
+@_mapped_errors
+def cmd_overlap(etas, shots):
+    """How close do the class clusters sit in orbit space?
+
+    Per transmission and class pair, prints the exact distance between the
+    analytic orbit feature vectors next to the sampling noise at SHOTS shots
+    per graph; below four sigma, the two classes cannot be told apart.
+    """
+    try:
+        values = [float(x) for x in etas.split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError(
+            f"bad transmission list {etas!r}; expected e.g. '0.40,0.55'")
+    if not values:
+        raise ValidationError("empty transmission list")
+    losses = [LossModel(eta) for eta in values]
+    orbit_names = ", ".join(features.format_label(o)
+                            for o in features.DEFAULT_ORBITS)
+    click.echo(f"orbit space: {orbit_names}")
+    click.echo(f"sampling noise scale assumes {shots} shots per graph\n")
+    for loss in losses:
+        vectors = {label: features.fv_orbits_analytic(
+                       make_embedding(code), features.DEFAULT_ORBITS, loss).values
+                   for label, code in CLASS_REPRESENTATIVES.items()}
+        noise = math.sqrt(
+            max(float(v.max()) for v in vectors.values()) / shots)
+        click.echo(f"eta = {loss.eta:.2f} (loss factor {loss.loss_factor:.2f}), "
+                   f"1-sigma noise ~ {noise:.2e}")
+        for a, b in OVERLAP_PAIRS:
+            distance = float(np.linalg.norm(vectors[a] - vectors[b]))
+            # With no photon left to detect, every vector is 0 and so is the noise.
+            sigmas = distance / noise if noise > 0 else math.nan
+            verdict = "separable" if distance > 4 * noise else "overlapping"
+            click.echo(f"  {a} vs {b}: analytic distance {distance:.6f} "
+                       f"({sigmas:.1f} sigma, {verdict})")
+        click.echo()
 
 
 def main():

@@ -9,8 +9,9 @@ law factorises over ``EmbeddingSpec.blocks``: ``detected_probabilities`` and
 positive-term recurrences of the block's generating function, so nothing is
 truncated and nothing cancels.
 Sampling uses seeded PCG64 streams, bit-reproducible for a fixed numpy
-version; the CLI and ``scripts/run_pipeline.py`` draw sampling and loss from
-the independent streams ``numpy.random.SeedSequence(seed).spawn(2)``.
+version.  ``gbsgraphs simulate`` draws sampling and loss from the independent
+streams ``numpy.random.SeedSequence(seed).spawn(2)``; ``gbsgraphs pipeline``
+gives graph i of the catalog ``SeedSequence(seed).spawn(75)[i].spawn(2)``.
 """
 
 from __future__ import annotations

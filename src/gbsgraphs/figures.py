@@ -17,7 +17,6 @@ import numpy as np
 from . import features, graphs, svg
 from .embedding import EmbeddingSpec, make_embedding
 from .engine import SampleSet
-from .errors import ValidationError
 
 _CLASS_COLOR = dict(zip(graphs.CLASS_LABELS, svg.PALETTE))
 
@@ -53,15 +52,14 @@ def class_sorted_codes(codes) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 def event_by_class_rows(samples_by_code: dict[str, SampleSet],
-                        event_k: int = 6,
-                        n_max: int = features.DEFAULT_MAX_PER_MODE) -> list[dict]:
-    """Sampled and lossless-analytic probability of one event, per graph."""
+                        event_k: int = 6) -> list[dict]:
+    """Sampled and lossless-analytic probability of one event, per graph,
+    at the default per-mode cap."""
     rows = []
     for position, (code, label) in enumerate(
             class_sorted_codes(samples_by_code)):
-        samples = samples_by_code[code]
-        sampled = features.fv_events_from_samples(samples, [event_k], n_max)
-        analytic = features.fv_events_analytic(make_embedding(code), [event_k], n_max)
+        sampled = features.fv_events_from_samples(samples_by_code[code], [event_k])
+        analytic = features.fv_events_analytic(make_embedding(code), [event_k])
         rows.append({
             "position": position,
             "code": code,
@@ -162,12 +160,12 @@ class ClusterSummary:
     separation: float          # distance to nearest other centroid
 
 
-def orbit_space_rows(samples_by_code: dict[str, SampleSet],
-                     orbits=features.DEFAULT_ORBITS) -> list[dict]:
-    """Per-graph coordinates: sampled orbit probabilities."""
+def orbit_space_rows(samples_by_code: dict[str, SampleSet]) -> list[dict]:
+    """Per-graph coordinates: sampled probabilities of the default orbits."""
     rows = []
     for code, label in class_sorted_codes(samples_by_code):
-        fv = features.fv_orbits_from_samples(samples_by_code[code], orbits)
+        fv = features.fv_orbits_from_samples(samples_by_code[code],
+                                             features.DEFAULT_ORBITS)
         rows.append({"code": code, "class": label,
                      "coords": tuple(float(v) for v in fv.values)})
     return rows
@@ -194,9 +192,8 @@ def cluster_summaries(rows: list[dict]) -> list[ClusterSummary]:
 
 
 def write_orbit_space(rows: list[dict], summaries: list[ClusterSummary],
-                      csv_path, clusters_csv_path, svg_path=None,
-                      orbits=features.DEFAULT_ORBITS) -> list[Path]:
-    labels = [features.format_label(o) for o in orbits]
+                      csv_path, clusters_csv_path, svg_path=None) -> list[Path]:
+    labels = [features.format_label(o) for o in features.DEFAULT_ORBITS]
     paths = [write_csv(
         csv_path, ["code", "class"] + labels,
         [[r["code"], r["class"]] + [fmt_prob(c) for c in r["coords"]]
@@ -209,8 +206,6 @@ def write_orbit_space(rows: list[dict], summaries: list[ClusterSummary],
          + [fmt_prob(s.dispersion), s.nearest_class, fmt_prob(s.separation)]
          for s in summaries]))
     if svg_path is not None:
-        if len(orbits) < 3:
-            raise ValidationError("orbit-space SVG needs three coordinates")
         panels = []
         for (ix, iy), title in (((0, 1), f"{labels[0]} vs {labels[1]}"),
                                 ((0, 2), f"{labels[0]} vs {labels[2]}")):

@@ -116,7 +116,7 @@ def build_adjacency(m) -> np.ndarray:
 
 
 def _check_adjacency(a) -> np.ndarray:
-    """Loose adjacency check: 8x8, symmetric, 0/1, zero diagonal.
+    """Adjacency check: 8x8, symmetric, 0/1, zero diagonal.
 
     Components and class labels are also asked of freely relabeled graphs,
     so this deliberately does not require the bipartite block structure.
@@ -131,14 +131,6 @@ def _check_adjacency(a) -> np.ndarray:
         raise ValidationError("adjacency must be symmetric")
     if np.diagonal(a).any():
         raise ValidationError("adjacency must have a zero diagonal")
-    return a
-
-
-def validate_adjacency(a) -> np.ndarray:
-    """Strict check: loose conditions plus zero diagonal 4x4 blocks."""
-    a = _check_adjacency(a)
-    if a[:4, :4].any() or a[4:, 4:].any():
-        raise ValidationError("adjacency must have zero diagonal blocks")
     return a
 
 

@@ -16,6 +16,7 @@ PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 36.0, 46.0
+_HEIGHT = 400                     # panel height, legend excluded
 
 
 @dataclass
@@ -56,7 +57,7 @@ def _esc(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def _panel_svg(panel: Panel, x0: float, width: float, height: float) -> list[str]:
+def _panel_svg(panel: Panel, x0: float, width: float) -> list[str]:
     xs = [x for s in panel.series for x in s.xs]
     ys = [y for s in panel.series for y in s.ys]
     if not xs:
@@ -64,7 +65,7 @@ def _panel_svg(panel: Panel, x0: float, width: float, height: float) -> list[str
     xlo, xhi = _limits(xs)
     ylo, yhi = _limits(ys)
     plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         return x0 + _MARGIN_L + (x - xlo) / (xhi - xlo) * plot_w
@@ -98,7 +99,7 @@ def _panel_svg(panel: Panel, x0: float, width: float, height: float) -> list[str
         out.append(f'<text x="{_fmt(x)}" y="{_fmt(_MARGIN_T + plot_h + 15)}" '
                    f'text-anchor="middle" font-size="9">{_esc(lbl)}</text>')
     out.append(f'<text x="{_fmt(x0 + _MARGIN_L + plot_w / 2)}" '
-               f'y="{_fmt(height - 8)}" text-anchor="middle" font-size="11">'
+               f'y="{_fmt(_HEIGHT - 8)}" text-anchor="middle" font-size="11">'
                f'{_esc(panel.xlabel)}</text>')
     out.append(f'<text x="{_fmt(x0 + 14)}" y="{_fmt(_MARGIN_T + plot_h / 2)}" '
                f'text-anchor="middle" font-size="11" '
@@ -118,8 +119,7 @@ def _panel_svg(panel: Panel, x0: float, width: float, height: float) -> list[str
     return out
 
 
-def render(path, panels: list[Panel], panel_width: int = 480,
-           height: int = 400) -> Path:
+def render(path, panels: list[Panel], panel_width: int = 480) -> Path:
     """Write the panels side by side into one SVG file."""
     path = Path(path)
     total_w = panel_width * len(panels)
@@ -132,7 +132,7 @@ def render(path, panels: list[Panel], panel_width: int = 480,
                 seen.add(s.label)
                 legend.append((s.label, s.color))
     legend_h = 18 * ((len(legend) + 3) // 4) + 8 if legend else 0
-    total_h = height + legend_h
+    total_h = _HEIGHT + legend_h
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" '
         f'height="{total_h}" viewBox="0 0 {total_w} {total_h}" '
@@ -141,11 +141,11 @@ def render(path, panels: list[Panel], panel_width: int = 480,
         f'<rect width="{total_w}" height="{total_h}" fill="#ffffff"/>',
     ]
     for i, panel in enumerate(panels):
-        lines.extend(_panel_svg(panel, i * panel_width, panel_width, height))
+        lines.extend(_panel_svg(panel, i * panel_width, panel_width))
     for i, (label, color) in enumerate(legend):
         col, row = i % 4, i // 4
         x = 24 + col * (total_w - 40) / 4
-        y = height + 14 + row * 18
+        y = _HEIGHT + 14 + row * 18
         lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y - 3)}" r="4" fill="{color}"/>')
         lines.append(f'<text x="{_fmt(x + 8)}" y="{_fmt(y)}" font-size="10">'
                      f'{_esc(label)}</text>')

@@ -87,14 +87,6 @@ def test_adjacency_block_structure(code):
     assert (a == a.T).all()
     assert not np.diagonal(a).any()
     assert not a[:4, :4].any() and not a[4:, 4:].any()
-    graphs.validate_adjacency(a)
-
-
-def test_validate_adjacency_rejects_diagonal_block_edges():
-    a = np.zeros((8, 8), dtype=int)
-    a[0, 1] = a[1, 0] = 1
-    with pytest.raises(ValidationError):
-        graphs.validate_adjacency(a)
 
 
 # ---------------------------------------------------------------------------
