@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import graphs
-from .embedding import SQUEEZING, embeddability_check, make_embedding
+from .embedding import MEAN_PHOTON_SINGLE, embeddability_check
 
 
 @dataclass(frozen=True)
@@ -27,25 +26,18 @@ def build_catalog(include_all: bool = False) -> list[CatalogRecord]:
     records = []
     for code in graphs.all_codes():
         m = graphs.decode_code(code)
-        label = graphs.classify(graphs.build_adjacency(m))
         emb = embeddability_check(m)
-        if emb.embeddable:
-            spec = make_embedding(code)
-            records.append(CatalogRecord(
-                code=code,
-                embeddable=True,
-                iso_class=label,
-                rank=spec.rank,
-                m=spec.mean_photon_per_mode,
-                singular_value=math.tanh(SQUEEZING) / spec.scale_c,
-            ))
-        elif include_all:
-            records.append(CatalogRecord(
-                code=code,
-                embeddable=False,
-                iso_class=label,
-                reason=emb.reason,
-            ))
+        if not (emb.embeddable or include_all):
+            continue
+        records.append(CatalogRecord(
+            code=code,
+            embeddable=emb.embeddable,
+            iso_class=graphs.classify(graphs.build_adjacency(m)),
+            rank=emb.rank if emb.embeddable else None,
+            m=emb.rank * MEAN_PHOTON_SINGLE if emb.embeddable else None,
+            singular_value=emb.singular_values[0] if emb.embeddable else None,
+            reason=emb.reason,
+        ))
     return records
 
 

@@ -17,13 +17,9 @@ import click
 import numpy as np
 
 from . import catalog, features, figures, graphs
-from .embedding import (
-    embeddability_check,
-    enumerate_embeddable,
-    make_embedding,
-    mean_photon_total,
-)
+from .embedding import embeddability_check, make_embedding, mean_photon_total
 from .engine import (
+    MAX_SHOTS,
     LossModel,
     apply_loss,
     ingest_samples,
@@ -62,9 +58,10 @@ def _mapped_errors(fn):
 
 def _parse_events(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        events = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise ValidationError(f"bad event list {text!r}; expected e.g. '2,4,6,8'")
+    return features.validate_events(events)
 
 
 def _parse_orbits(text: str) -> list[tuple[int, ...]]:
@@ -167,7 +164,8 @@ def cmd_embed(code):
 
 @cli.command("simulate")
 @click.argument("code")
-@click.option("--shots", type=int, default=100_000, show_default=True)
+@click.option("--shots", type=click.IntRange(1, MAX_SHOTS), default=100_000,
+              show_default=True)
 @_seed_option
 @click.option("--loss", "eta", type=float, default=None,
               help="Per-photon transmission probability eta in [0, 1]; "
@@ -227,8 +225,7 @@ def cmd_ingest(path, out):
 
 def _fv_rows(code, label, fv):
     blank = [None] * len(fv.labels)
-    columns = zip(fv.values, blank if fv.stat_error is None else fv.stat_error,
-                  blank if fv.tail_bound is None else fv.tail_bound)
+    columns = zip(fv.values, blank if fv.stat_error is None else fv.stat_error)
     return [[code, label, fv.provenance, figures.fmt_prob(fv.loss_eta),
              features.format_label(lbl)] + [figures.fmt_prob(x) for x in values]
             for lbl, values in zip(fv.labels, columns)]
@@ -256,32 +253,32 @@ def cmd_fv(sample_paths, code, events, n_max, orbits, eta, out):
         raise ValidationError("need --samples and/or --code")
     if events is None and orbits is None:
         events = ",".join(str(k) for k in features.DEFAULT_EVENTS)
+    event_list = None if events is None else _parse_events(events)
+    orbit_list = None if orbits is None else _parse_orbits(orbits)
     rows = []
     for path in sample_paths:
         samples = ingest_samples(path)
         sample_code = samples.meta.code
         label = (graphs.classify(graphs.adjacency_for(sample_code))
                  if sample_code else "")
-        if events is not None:
-            fv = features.fv_events_from_samples(
-                samples, _parse_events(events), n_max)
+        if event_list is not None:
+            fv = features.fv_events_from_samples(samples, event_list, n_max)
             rows.extend(_fv_rows(sample_code, label, fv))
-        if orbits is not None:
-            fv = features.fv_orbits_from_samples(samples, _parse_orbits(orbits))
+        if orbit_list is not None:
+            fv = features.fv_orbits_from_samples(samples, orbit_list)
             rows.extend(_fv_rows(sample_code, label, fv))
     if code is not None:
         spec = make_embedding(code)
         loss = LossModel(eta) if eta is not None else None
         label = graphs.classify(graphs.adjacency_for(code))
-        if events is not None:
-            fv = features.fv_events_analytic(
-                spec, _parse_events(events), n_max, loss)
+        if event_list is not None:
+            fv = features.fv_events_analytic(spec, event_list, n_max, loss)
             rows.extend(_fv_rows(code, label, fv))
-        if orbits is not None:
-            fv = features.fv_orbits_analytic(spec, _parse_orbits(orbits), loss)
+        if orbit_list is not None:
+            fv = features.fv_orbits_analytic(spec, orbit_list, loss)
             rows.extend(_fv_rows(code, label, fv))
     figures.write_csv(out, ["code", "class", "provenance", "loss_eta", "label",
-                            "value", "stat_error", "tail_bound"], rows)
+                            "value", "stat_error"], rows)
     click.echo(f"wrote {len(rows)} feature components to {out}")
 
 
@@ -341,7 +338,7 @@ def _fig4(samples_by_code, csv_path, clusters_path, svg_path):
 
 def _load_sample_dir(directory, codes):
     directory = Path(directory)
-    wanted = list(codes) if codes else [c for c, _ in enumerate_embeddable()]
+    wanted = list(codes) if codes else [rec.code for rec in catalog.build_catalog()]
     missing = [c for c in wanted if not (directory / f"{c}.samples").exists()]
     if missing:
         raise ValidationError(
@@ -399,7 +396,7 @@ FIG3_CODE = "1111111111"  # the only connected embeddable graph
 @cli.command("pipeline")
 @click.option("--outdir", type=click.Path(file_okay=False, path_type=Path),
               default="pipeline_out", show_default=True)
-@click.option("--shots", type=click.IntRange(min=1), default=100_000,
+@click.option("--shots", type=click.IntRange(1, MAX_SHOTS), default=100_000,
               show_default=True, help="Shots per graph.")
 @click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--eta", type=float, default=0.55, show_default=True,
@@ -430,13 +427,12 @@ def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
     click.echo(f"catalog: {len(records)} embeddable graphs")
 
     samples = {}
-    specs = enumerate_embeddable()
-    streams = np.random.SeedSequence(seed).spawn(len(specs))
-    for (code, spec), stream in zip(specs, streams):
+    streams = np.random.SeedSequence(seed).spawn(len(records))
+    for code, stream in zip((rec.code for rec in records), streams):
         if wanted and code not in wanted:
             continue
         sample_stream, loss_stream = stream.spawn(2)
-        samples[code] = sample(spec, shots, sample_stream)
+        samples[code] = sample(make_embedding(code), shots, sample_stream)
         if eta < 1.0:
             samples[code] = apply_loss(samples[code], loss, loss_stream)
         write_samples(samples[code], outdir / "samples" / f"{code}.samples")
@@ -482,7 +478,7 @@ OVERLAP_PAIRS = (("2P3", "2S3"), ("2K2", "2P3"), ("1C4", "1K33"))
 @cli.command("overlap")
 @click.option("--etas", default="0.40,0.55,0.70,0.85", show_default=True,
               help="Comma list of transmissions to sweep.")
-@click.option("--shots", type=click.IntRange(min=1), default=100_000,
+@click.option("--shots", type=click.IntRange(1, MAX_SHOTS), default=100_000,
               show_default=True, help="Shots per graph behind the noise floor.")
 @_mapped_errors
 def cmd_overlap(etas, shots):

@@ -34,6 +34,10 @@ MAX_PERMANENT_SIZE = 16
 #: Default table truncation, in photon pairs (16 photons).
 DEFAULT_CUTOFF_PAIRS = 8
 
+#: Most shots one ``sample`` call draws: 100x the paper's 100k per graph, and
+#: 640 MB of int64 counts in one ``SampleSet``.
+MAX_SHOTS = 10 ** 7
+
 _SECH = 1.0 / math.cosh(SQUEEZING)
 _TANH = math.tanh(SQUEEZING)
 
@@ -532,8 +536,8 @@ def sample(spec: EmbeddingSpec, shots: int,
     reproduces the same shots bit for bit.
     """
     spec = getattr(spec, "spec", spec)  # a ProbabilityTable stands for its spec
-    if shots <= 0:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValidationError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
     rng = np.random.default_rng(seed)
     out = np.zeros((shots, graphs.N_NODES), dtype=np.int64)
     for block in spec.blocks:

@@ -73,6 +73,13 @@ def validate_orbit(orbit) -> OrbitId:
     return orbit
 
 
+def validate_events(events) -> list[int]:
+    events = [int(k) for k in events]
+    if any(k < 0 for k in events):
+        raise ValidationError("event totals must be nonnegative")
+    return events
+
+
 def _distinct_orders(parts: tuple) -> list[tuple]:
     """Distinct orderings of the ascending tuple ``parts``, in ascending order."""
     if len(parts) <= 1:
@@ -121,6 +128,7 @@ def fv_events_from_samples(samples: SampleSet, events: Sequence[int],
         raise ValidationError("cannot build a feature vector from zero shots")
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
+    events = validate_events(events)
     shots = samples.shots
     totals = shots.sum(axis=1)
     capped = (shots <= n_max).all(axis=1)
@@ -128,7 +136,7 @@ def fv_events_from_samples(samples: SampleSet, events: Sequence[int],
     values = np.array([float(np.count_nonzero((totals == k) & capped)) / n
                        for k in events])
     return FeatureVector(
-        labels=tuple(EventSpec(int(k), n_max) for k in events),
+        labels=tuple(EventSpec(k, n_max) for k in events),
         values=values,
         provenance="sampled",
         loss_eta=_sampled_meta_eta(samples),
@@ -192,9 +200,7 @@ def fv_events_analytic(spec: EmbeddingSpec, events: Sequence[int],
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     eta = 1.0 if loss is None else loss.eta
-    events = [int(k) for k in events]
-    if any(k < 0 for k in events):
-        raise ValidationError("event totals must be nonnegative")
+    events = validate_events(events)
     return FeatureVector(
         labels=tuple(EventSpec(k, n_max) for k in events),
         values=_event_law(spec, events, n_max, [eta])[0],

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -20,3 +22,22 @@ def embeddable():
 @pytest.fixture(scope="session")
 def specs_by_code(embeddable):
     return dict(embeddable)
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` returns a list that records the arguments
+    of every later call to ``module.name``, from whichever gbsgraphs module
+    bound it."""
+    def install(module, name):
+        original, calls = getattr(module, name), []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("gbsgraphs")
+                    and getattr(mod, name, None) is original):
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+    return install

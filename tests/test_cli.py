@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsgraphs import catalog, embedding, engine
+from gbsgraphs import catalog, embedding, engine, graphs
 from gbsgraphs.cli import cli
 from oracles import assert_ingest_matches_oracle
 
@@ -59,6 +59,15 @@ def test_enumerate_is_byte_identical_across_runs(tmp_path, runner):
     run_in(tmp_path, runner, ["enumerate", "--out", "a.json"])
     run_in(tmp_path, runner, ["enumerate", "--out", "b.json"])
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("include_all, kept", [(False, 75), (True, 1024)])
+def test_build_catalog_checks_each_code_once(count_calls, include_all, kept):
+    checks = count_calls(embedding, "embeddability_check")
+    classified = count_calls(graphs, "classify")
+    embedded = count_calls(embedding, "make_embedding")
+    assert len(catalog.build_catalog(include_all)) == kept
+    assert (len(checks), len(classified), len(embedded)) == (1024, kept, 0)
 
 
 def test_enumerate_csv_format(tmp_path, runner):
@@ -177,6 +186,15 @@ def test_simulate_rejects_non_embeddable_with_reason(tmp_path, runner):
     result = run_in(tmp_path, runner, ["simulate", "1100000000", "--shots", "10"])
     assert result.exit_code == 2
     assert "singular values" in result.output
+
+
+@pytest.mark.parametrize("shots", ["0", "1" + "0" * 400, str(engine.MAX_SHOTS + 1)],
+                         ids=["zero", "1e400", "max+1"])
+def test_simulate_rejects_shots_out_of_range(tmp_path, runner, shots):
+    result = run_in(tmp_path, runner, ["simulate", "0000000100", "--shots", shots])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Error: Invalid value for '--shots'" in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_rejects_negative_seed(tmp_path, runner):
@@ -373,7 +391,7 @@ def test_fv_sampled_plus_analytic(tmp_path, runner):
                      "--events", "2,4,6,8", "--out", "fv.csv"])
     assert result.exit_code == 0, result.output
     lines = (tmp_path / "fv.csv").read_text().splitlines()
-    assert lines[0] == "code,class,provenance,loss_eta,label,value,stat_error,tail_bound"
+    assert lines[0] == "code,class,provenance,loss_eta,label,value,stat_error"
     assert len(lines) == 1 + 8
     sampled = [l for l in lines[1:] if ",sampled," in l]
     analytic = [l for l in lines[1:] if ",analytic," in l]
@@ -394,7 +412,7 @@ def test_fv_orbits_on_lossy_samples(tmp_path, runner):
     assert len(rows) == 3
     first = rows[0].split(",")
     assert first[4] == '"orbit(1' or "orbit(1" in rows[0]
-    value = float(rows[0].rsplit(",", 2)[0].split(",")[-1])
+    value = float(rows[0].rsplit(",", 1)[0].split(",")[-1])
     assert value > 0.0
 
 
@@ -490,6 +508,25 @@ def test_deviation_rejects_empty_event_list(dev_dir, runner):
                      "--out", "dev.csv"])
     assert result.exit_code == 2, (result.output, result.exception)
     assert "event labels" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["fv", "--samples", "d.samples", "--out", "out.csv"],
+    ["fv", "--code", "1111111111", "--out", "out.csv"],
+    ["deviation", "--samples", "d.samples", "--out", "out.csv"]])
+def test_negative_event_totals_are_rejected(dev_dir, runner, command):
+    result = run_in(dev_dir, runner, [*command, "--events=-2,2"])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Error: event totals must be nonnegative" in result.output
+    assert not (dev_dir / "out.csv").exists()
+
+
+def test_fv_checks_its_orbits_before_reading_samples(tmp_path, runner):
+    (tmp_path / "bad.samples").write_text("[1, 2, 3]\n")
+    result = run_in(tmp_path, runner, ["fv", "--samples", "bad.samples",
+                                       "--orbits", "1,2", "--out", "fv.csv"])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "Error: orbit parts must be nonincreasing" in result.output
 
 
 _STEP = st.one_of(st.floats(),

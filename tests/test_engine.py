@@ -350,6 +350,8 @@ def k44_spec():
 def test_sample_validation(k44_spec):
     with pytest.raises(ValidationError):
         engine.sample(k44_spec, 0, seed=1)
+    with pytest.raises(ValidationError):
+        engine.sample(k44_spec, engine.MAX_SHOTS + 1, seed=1)
 
 
 def test_sample_accepts_a_table_for_its_spec(k44_spec):

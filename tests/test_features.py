@@ -95,6 +95,14 @@ def test_fv_events_respects_cap():
     assert fv.values.tolist() == [0.5]
 
 
+def test_fv_events_reject_negative_totals(specs_by_code):
+    samples = make_samples([[0, 0, 1, 0, 0, 0, 1, 0]])
+    with pytest.raises(ValidationError, match="event totals must be nonnegative"):
+        features.fv_events_from_samples(samples, [-2, 2])
+    with pytest.raises(ValidationError, match="event totals must be nonnegative"):
+        features.fv_events_analytic(specs_by_code["1111111111"], [-2, 2])
+
+
 def test_fv_rejects_empty_sets():
     empty = SampleSet(shots=np.zeros((0, 8), dtype=np.int64),
                       meta=SampleMeta(source="simulated"))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gbsgraphs import engine
+from gbsgraphs import engine, graphs
 from gbsgraphs.cli import cli
 from gbsgraphs.embedding import enumerate_embeddable
 
@@ -19,6 +19,7 @@ REPO = Path(__file__).resolve().parents[1]
 SCRIPTS = REPO / "scripts"
 CODES = ["0000000100", "0110000000", "1111111111"]
 PIPELINE_ARGS = ["--shots", "300", "--codes", ",".join(CODES)]
+HUGE_SHOTS = "1" + "0" * 400   # beyond int64 and float range
 
 # Bad pipeline arguments and the error each must report.
 PIPELINE_ERRORS = {
@@ -28,6 +29,8 @@ PIPELINE_ERRORS = {
     ("--seed", "-1"): "Invalid value for '--seed'",
     ("--shots", "0"): "Invalid value for '--shots'",
     ("--shots", "x"): "Invalid value for '--shots'",
+    ("--shots", HUGE_SHOTS): "Invalid value for '--shots'",
+    ("--shots", str(engine.MAX_SHOTS + 1)): "Invalid value for '--shots'",
     ("--step", "0"): "loss-factor step must lie in [0.0001, 1], got 0.0",
     ("--step", "2"): "loss-factor step must lie in [0.0001, 1], got 2.0",
     ("--event", "-1"): "Invalid value for '--event'",
@@ -39,6 +42,8 @@ PIPELINE_ERRORS = {
 OVERLAP_ERRORS = {
     ("--shots", "0"): "Invalid value for '--shots'",
     ("--shots", "-5"): "Invalid value for '--shots'",
+    ("--shots", HUGE_SHOTS): "Invalid value for '--shots'",
+    ("--shots", str(engine.MAX_SHOTS + 1)): "Invalid value for '--shots'",
     ("--etas", "1.5"): "transmission eta must be in [0, 1], got 1.5",
     ("--etas", "x"): "bad transmission list 'x'",
     ("--etas", ","): "empty transmission list",
@@ -117,6 +122,13 @@ def test_run_pipeline_on_codes_of_one_class(tmp_path):
     assert result.exit_code == 0, result.output
     clusters = (tmp_path / "fig4_clusters.csv").read_text()
     assert clusters.splitlines()[1].endswith(",,")
+
+
+def test_pipeline_walks_the_codes_once(tmp_path, count_calls):
+    walks = count_calls(graphs, "all_codes")
+    result = invoke(["pipeline", "--outdir", str(tmp_path), *PIPELINE_ARGS])
+    assert result.exit_code == 0, result.output
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize("args", [list(k) for k in PIPELINE_ERRORS])
