@@ -1,4 +1,10 @@
-"""Catalog of candidate graphs: embeddability, class, rank, photon budget."""
+"""Catalog of candidate graphs: embeddability, class, rank, photon budget.
+
+The records come from ``embedding.walk_codes``: one batched trace test over
+the 1024 candidate codes, with each embeddable graph's class read off its
+K_{a,b} block shape.  Reasons for the rejected codes are computed only when
+they are listed (``include_all``).
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import graphs
-from .embedding import MEAN_PHOTON_SINGLE, embeddability_check
+from .embedding import MEAN_PHOTON_SINGLE, walk_codes
 
 
 @dataclass(frozen=True)
@@ -24,15 +30,11 @@ class CatalogRecord:
 def build_catalog(include_all: bool = False) -> list[CatalogRecord]:
     """One record per code, ascending; embeddable-only unless ``include_all``."""
     records = []
-    for code in graphs.all_codes():
-        m = graphs.decode_code(code)
-        emb = embeddability_check(m)
-        if not (emb.embeddable or include_all):
-            continue
+    for code, emb, iso_class in walk_codes(include_all):
         records.append(CatalogRecord(
             code=code,
             embeddable=emb.embeddable,
-            iso_class=graphs.classify(graphs.build_adjacency(m)),
+            iso_class=iso_class,
             rank=emb.rank if emb.embeddable else None,
             m=emb.rank * MEAN_PHOTON_SINGLE if emb.embeddable else None,
             singular_value=emb.singular_values[0] if emb.embeddable else None,

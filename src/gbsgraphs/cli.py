@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import catalog, features, figures, graphs
-from .embedding import embeddability_check, make_embedding, mean_photon_total
+from .embedding import embeddability_check, make_embedding, mean_photon_total, walk_codes
 from .engine import (
     MAX_SHOTS,
     LossModel,
@@ -313,8 +313,8 @@ def _write_deviation(sample_path, code, step, csv_path, svg_path=None,
     return paths
 
 
-def _fig2(samples_by_code, event_k, csv_path, svg_path):
-    rows = figures.event_by_class_rows(samples_by_code, event_k)
+def _fig2(samples_by_code, labels, event_k, csv_path, svg_path):
+    rows = figures.event_by_class_rows(samples_by_code, event_k, labels)
     return figures.write_event_by_class(rows, csv_path, svg_path, event_k)
 
 
@@ -327,18 +327,17 @@ def _fig3(samples, code, step, csv_path, svg_path, events=None,
     return figures.write_deviation(curve, csv_path, svg_path), matches
 
 
-def _fig4(samples_by_code, csv_path, clusters_path, svg_path):
+def _fig4(samples_by_code, labels, csv_path, clusters_path, svg_path):
     """Write the orbit-space figure; return the paths and the cluster summaries."""
-    rows = figures.orbit_space_rows(samples_by_code)
+    rows = figures.orbit_space_rows(samples_by_code, labels)
     summaries = figures.cluster_summaries(rows)
     paths = figures.write_orbit_space(rows, summaries, csv_path, clusters_path,
                                       svg_path)
     return paths, summaries
 
 
-def _load_sample_dir(directory, codes):
+def _load_sample_dir(directory, wanted):
     directory = Path(directory)
-    wanted = list(codes) if codes else [rec.code for rec in catalog.build_catalog()]
     missing = [c for c in wanted if not (directory / f"{c}.samples").exists()]
     if missing:
         raise ValidationError(
@@ -381,11 +380,12 @@ def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
     else:
         if samples_dir is None:
             raise ValidationError(f"{name} needs --samples-dir")
-        samples_by_code = _load_sample_dir(samples_dir, code_list)
+        labels = {c.code: c.iso_class for c in walk_codes()}
+        samples_by_code = _load_sample_dir(samples_dir, code_list or list(labels))
         if name == "fig2":
-            paths = _fig2(samples_by_code, event_k, csv_path, svg_path)
+            paths = _fig2(samples_by_code, labels, event_k, csv_path, svg_path)
         else:
-            paths, _ = _fig4(samples_by_code, csv_path,
+            paths, _ = _fig4(samples_by_code, labels, csv_path,
                              Path(f"{prefix}_clusters.csv"), svg_path)
     click.echo("wrote " + ", ".join(str(p) for p in paths))
 
@@ -439,7 +439,8 @@ def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
     click.echo(f"samples: {len(samples)} graphs x {shots} shots "
                f"at eta={eta} in {time.perf_counter() - start:.1f} s")
 
-    _fig2(samples, event_k, outdir / "fig2.csv", outdir / "fig2.svg")
+    labels = {rec.code: rec.iso_class for rec in records}
+    _fig2(samples, labels, event_k, outdir / "fig2.csv", outdir / "fig2.svg")
     click.echo("fig2: event values per graph")
 
     if FIG3_CODE in samples:
@@ -449,7 +450,7 @@ def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
             json.dumps(matches, indent=2, sort_keys=True) + "\n")
         click.echo(f"fig3: matched loss factors {matches}")
 
-    _, summaries = _fig4(samples, outdir / "fig4.csv",
+    _, summaries = _fig4(samples, labels, outdir / "fig4.csv",
                          outdir / "fig4_clusters.csv", outdir / "fig4.svg")
     separated = sum(1 for s in summaries if s.separation > s.dispersion)
     click.echo(f"fig4: {separated}/{len(summaries)} classes separate from "

@@ -11,12 +11,20 @@ sigma iff M^3 = sigma^2 M, and then sigma^2 = t4 / t2 and
 rank = t2^2 / t4.  Every graph that passes is ``rank`` identical
 complete-bipartite blocks K_{a,b}, with sigma^2 = a * b, whose modes
 ``make_embedding`` lists in ``EmbeddingSpec.blocks`` for the law in ``engine``.
+
+``walk_codes`` runs the test once over the stacked 1024 candidate matrices
+and reads each embeddable graph's class off its K_{a,b} block shape;
+``embeddability_check`` runs the same test on a stack of one.  The float
+eigensolver only lists the singular values of rejected matrices in their
+reasons, and the walk calls it only when those reasons are asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,28 +48,88 @@ class Embeddability:
     reason: str | None = None
 
 
+def _trace_test(stack: np.ndarray):
+    """The exact test on an (n, 4, 4) int64 stack: pass mask, t2, t4.
+
+    A matrix passes iff t2 = tr(M^2) > 0 and t2 * M^3 == t4 * M entry by
+    entry, with t4 = tr(M^4).
+    """
+    m2 = stack @ stack
+    t2 = np.trace(m2, axis1=1, axis2=2)
+    t4 = (m2 * m2).sum(axis=(1, 2))        # tr(M^4), as M^2 is symmetric
+    ok = (t2 > 0) & (t2[:, None, None] * (m2 @ stack)
+                     == t4[:, None, None] * stack).all(axis=(1, 2))
+    return ok, t2, t4
+
+
+def _passed(t2: int, t4: int) -> Embeddability:
+    rank = t2 * t2 // t4
+    sigma = math.sqrt(t4 / t2)
+    return Embeddability(True, rank, (sigma,) * rank + (0.0,) * (4 - rank))
+
+
+def _rejected(stack: np.ndarray, t2: np.ndarray) -> list[Embeddability]:
+    """Rejections of a stack of failed matrices, from one eigensolver call."""
+    sigmas = np.sort(np.abs(np.linalg.eigvalsh(stack)), axis=1)[:, ::-1]
+    # Nonzero singular values of a 0/1 matrix are far above display precision.
+    shown = np.round(sigmas, 6) != 0
+    out = []
+    for t2_i, sigma, shown_i in zip(t2.tolist(), sigmas.tolist(), shown.tolist()):
+        if t2_i == 0:
+            reason = "no edges"
+        else:
+            listed = ", ".join([f"{s:.6f}" for s in compress(sigma, shown_i)])
+            reason = f"unequal nonzero singular values ({listed})"
+        out.append(Embeddability(False, 0, tuple(sigma), reason))
+    return out
+
+
 def embeddability_check(m) -> Embeddability:
     """Decide whether the submatrix can be prepared with equal squeezing.
 
-    Embeddable iff t2 = tr(M^2) > 0 and t2 * M^3 == t4 * M entry by entry,
-    with t4 = tr(M^4); the rank is then the number of active squeezed pairs.
-    Only rejected matrices take a float eigensolver, to list their singular
-    values in the reason.
+    The trace test on a stack of one; the rank is the number of active
+    squeezed pairs.  A rejected matrix takes a float eigensolver, to list its
+    singular values in the reason.
     """
-    m = graphs.validate_submatrix(m)
-    m2 = m @ m
-    t2, t4 = int(np.trace(m2)), int(np.trace(m2 @ m2))
-    if t2 > 0 and (t2 * (m2 @ m) == t4 * m).all():
-        rank = t2 * t2 // t4
-        sigma = math.sqrt(t4 / t2)
-        return Embeddability(True, rank, (sigma,) * rank + (0.0,) * (4 - rank))
-    sigma = tuple(sorted(np.abs(np.linalg.eigvalsh(m)).tolist(), reverse=True))
-    if t2 == 0:
-        return Embeddability(False, 0, sigma, "no edges")
-    # Nonzero singular values of a 0/1 matrix are far above display precision.
-    listed = ", ".join(f"{s:.6f}" for s in sigma if round(s, 6))
-    return Embeddability(
-        False, 0, sigma, f"unequal nonzero singular values ({listed})")
+    stack = graphs.validate_submatrix(m)[None]
+    ok, t2, t4 = _trace_test(stack)
+    if ok[0]:
+        return _passed(int(t2[0]), int(t4[0]))
+    return _rejected(stack, t2)[0]
+
+
+class Candidate(NamedTuple):
+    """One candidate code with its trace-test outcome and class label."""
+
+    code: str
+    check: Embeddability
+    iso_class: str
+
+
+def walk_codes(include_all: bool = False) -> list[Candidate]:
+    """The candidate codes in ascending order, embeddable ones only unless
+    ``include_all``: one trace test over the whole stack of 1024 matrices.
+
+    A graph that passes is ``rank`` copies of K_{a,b}, with a the row sum of
+    a nonzero row and a * b = sigma^2 = t4 / t2; its class is read off that
+    shape.  Every other code is ``OTHER``, and its reason, asked for only
+    with ``include_all``, comes from one eigensolver call on all of them.
+    """
+    stack = graphs.candidate_matrices()
+    ok, t2, t4 = _trace_test(stack)
+    a = stack.sum(axis=2).max(axis=1)
+    walked: list[Candidate | None] = [None] * len(stack)
+    kept = np.flatnonzero(ok)
+    for i, t2_i, t4_i, a_i in zip(kept.tolist(), t2[kept].tolist(),
+                                  t4[kept].tolist(), a[kept].tolist()):
+        emb = _passed(t2_i, t4_i)
+        walked[i] = Candidate(graphs.code_of(i), emb,
+                              graphs.block_label(emb.rank, a_i, t4_i // t2_i // a_i))
+    if include_all:
+        failed = np.flatnonzero(~ok)
+        for i, emb in zip(failed.tolist(), _rejected(stack[failed], t2[failed])):
+            walked[i] = Candidate(graphs.code_of(i), emb, graphs.OTHER)
+    return [c for c in walked if c is not None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +173,7 @@ def make_embedding(code: str) -> EmbeddingSpec:
 
 def enumerate_embeddable() -> list[tuple[str, EmbeddingSpec]]:
     """All embeddable codes with their specs, in ascending code order."""
-    out = []
-    for code in graphs.all_codes():
-        emb = embeddability_check(graphs.decode_code(code))
-        if emb.embeddable:
-            out.append((code, make_embedding(code)))
-    return out
+    return [(c.code, make_embedding(c.code)) for c in walk_codes()]
 
 
 def mean_photon_total(spec: EmbeddingSpec) -> float:

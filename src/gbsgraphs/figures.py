@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features, graphs, svg
-from .embedding import EmbeddingSpec, make_embedding
+from .embedding import EmbeddingSpec, make_embedding, walk_codes
 from .engine import SampleSet
 
 _CLASS_COLOR = dict(zip(graphs.CLASS_LABELS, svg.PALETTE))
@@ -38,9 +38,18 @@ def write_csv(path, header: list[str], rows: list[list]) -> Path:
     return path
 
 
-def class_sorted_codes(codes) -> list[tuple[str, str]]:
-    """(code, class) pairs grouped by class in display order, codes ascending."""
-    labeled = [(code, graphs.classify(graphs.adjacency_for(code)))
+def class_sorted_codes(codes, labels: dict[str, str] | None = None
+                       ) -> list[tuple[str, str]]:
+    """(code, class) pairs grouped by class in display order, codes ascending.
+
+    Classes come from ``labels`` (code -> class), by default those of the
+    embeddable codes from one ``walk_codes``.  A code outside it goes to
+    ``graphs.classify``, which checks it and names it ``OTHER``.
+    """
+    if labels is None:
+        labels = {c.code: c.iso_class for c in walk_codes()}
+    labeled = [(code, labels[code] if code in labels
+                else graphs.classify(graphs.adjacency_for(code)))
                for code in codes]
     order = {label: i for i, label in enumerate(graphs.CLASS_LABELS)}
     labeled.sort(key=lambda kv: (order.get(kv[1], len(order)), kv[0]))
@@ -52,12 +61,13 @@ def class_sorted_codes(codes) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 def event_by_class_rows(samples_by_code: dict[str, SampleSet],
-                        event_k: int = 6) -> list[dict]:
+                        event_k: int = 6,
+                        labels: dict[str, str] | None = None) -> list[dict]:
     """Sampled and lossless-analytic probability of one event, per graph,
-    at the default per-mode cap."""
+    at the default per-mode cap; ``labels`` as in ``class_sorted_codes``."""
     rows = []
     for position, (code, label) in enumerate(
-            class_sorted_codes(samples_by_code)):
+            class_sorted_codes(samples_by_code, labels)):
         sampled = features.fv_events_from_samples(samples_by_code[code], [event_k])
         analytic = features.fv_events_analytic(make_embedding(code), [event_k])
         rows.append({
@@ -160,10 +170,12 @@ class ClusterSummary:
     separation: float          # distance to nearest other centroid
 
 
-def orbit_space_rows(samples_by_code: dict[str, SampleSet]) -> list[dict]:
-    """Per-graph coordinates: sampled probabilities of the default orbits."""
+def orbit_space_rows(samples_by_code: dict[str, SampleSet],
+                     labels: dict[str, str] | None = None) -> list[dict]:
+    """Per-graph coordinates: sampled probabilities of the default orbits;
+    ``labels`` as in ``class_sorted_codes``."""
     rows = []
-    for code, label in class_sorted_codes(samples_by_code):
+    for code, label in class_sorted_codes(samples_by_code, labels):
         fv = features.fv_orbits_from_samples(samples_by_code[code],
                                              features.DEFAULT_ORBITS)
         rows.append({"code": code, "class": label,

@@ -4,6 +4,10 @@ A candidate graph is named by ten binary digits filling the upper triangle of
 a 4x4 symmetric 0/1 matrix row-major.  That submatrix couples the four signal
 modes (nodes 0-3) to the four idler modes (nodes 4-7) of the device, giving an
 8-node bipartite adjacency matrix with zero diagonal blocks.
+
+``classify`` names any 8-node graph by its connected components;
+``block_label`` names a graph already known to be ``rank`` disjoint copies of
+K_{a,b} from that block shape alone, through the same signature table.
 """
 
 from __future__ import annotations
@@ -68,10 +72,28 @@ def validate_code(code: str) -> str:
     return code
 
 
+def code_of(n: int) -> str:
+    """Candidate code number ``n``: its ten binary digits, most significant first."""
+    return format(n, f"0{CODE_LENGTH}b")
+
+
 def all_codes() -> Iterator[str]:
     """All 1024 candidate codes in ascending binary order."""
-    for n in range(1 << CODE_LENGTH):
-        yield format(n, f"0{CODE_LENGTH}b")
+    return map(code_of, range(1 << CODE_LENGTH))
+
+
+def candidate_matrices() -> np.ndarray:
+    """The (1024, 4, 4) int64 stack of all candidate submatrices.
+
+    Matrix n is ``decode_code(code_of(n))``: code digit k is bit 9 - k of n.
+    """
+    n = np.arange(1 << CODE_LENGTH)
+    digits = (n[:, None] >> np.arange(CODE_LENGTH - 1, -1, -1)) & 1
+    rows, cols = np.array(_UPPER_SLOTS).T
+    stack = np.zeros((n.size, 4, 4), dtype=np.int64)
+    stack[:, rows, cols] = digits
+    stack[:, cols, rows] = digits
+    return stack
 
 
 def validate_submatrix(m) -> np.ndarray:
@@ -79,7 +101,7 @@ def validate_submatrix(m) -> np.ndarray:
     m = np.asarray(m)
     if m.shape != (4, 4):
         raise ValidationError(f"submatrix must be 4x4, got shape {m.shape}")
-    if not np.isin(m, (0, 1)).all():
+    if not ((m == 0) | (m == 1)).all():
         raise ValidationError("submatrix entries must be 0 or 1")
     m = m.astype(np.int64)
     if (m != m.T).any():
@@ -124,7 +146,7 @@ def _check_adjacency(a) -> np.ndarray:
     a = np.asarray(a)
     if a.shape != (N_NODES, N_NODES):
         raise ValidationError(f"adjacency must be 8x8, got shape {a.shape}")
-    if not np.isin(a, (0, 1)).all():
+    if not ((a == 0) | (a == 1)).all():
         raise ValidationError("adjacency entries must be 0 or 1")
     a = a.astype(np.int64)
     if (a != a.T).any():
@@ -168,6 +190,12 @@ def connected_components(a) -> list[tuple[tuple[int, ...], ComponentSignature]]:
     return out
 
 
+def _class_label(count: int, name: str | None) -> str:
+    """``count`` copies of the component called ``name``, or ``OTHER``."""
+    label = f"{count}{name}"
+    return label if name is not None and label in CLASS_LABELS else OTHER
+
+
 def classify(a) -> str:
     """Isomorphism class label for ``a``, or ``OTHER``.
 
@@ -176,10 +204,14 @@ def classify(a) -> str:
     through to ``OTHER`` (the classifier totalises over all 1024 codes).
     """
     sigs = [sig for _, sig in connected_components(a) if sig.node_count > 1]
-    if not sigs:
-        return OTHER
     names = {_COMPONENT_NAMES.get(sig) for sig in sigs}
-    if len(names) != 1 or None in names:
+    if len(names) != 1:
         return OTHER
-    label = f"{len(sigs)}{names.pop()}"
-    return label if label in CLASS_LABELS else OTHER
+    return _class_label(len(sigs), names.pop())
+
+
+def block_label(rank: int, a: int, b: int) -> str:
+    """Class label of ``rank`` disjoint copies of K_{a,b}, or ``OTHER``."""
+    small, large = sorted((a, b))
+    sig = ComponentSignature(a + b, a * b, (large,) * small + (small,) * large)
+    return _class_label(rank, _COMPONENT_NAMES.get(sig))

@@ -6,6 +6,7 @@ live with the tests rather than in ``gbsgraphs``.
 
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 from gbsgraphs import engine, graphs
+from gbsgraphs.catalog import CatalogRecord
+from gbsgraphs.embedding import MEAN_PHOTON_SINGLE, Embeddability
 from gbsgraphs.errors import SampleFormatError
 
 N_NODES = 8
@@ -88,6 +91,45 @@ def blocks(code: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     parts = graphs.connected_components(graphs.adjacency_for(code))
     return [(tuple(n for n in nodes if n < 4), tuple(n for n in nodes if n >= 4))
             for nodes, sig in parts if sig.node_count > 1]
+
+
+def embeddability_check_per_code(m) -> Embeddability:
+    """The trace test on one matrix, with its own integer arithmetic and, for
+    a rejected matrix, its own eigensolver call."""
+    m = graphs.validate_submatrix(m)
+    m2 = m @ m
+    t2, t4 = int(np.trace(m2)), int(np.trace(m2 @ m2))
+    if t2 > 0 and (t2 * (m2 @ m) == t4 * m).all():
+        rank = t2 * t2 // t4
+        sigma = math.sqrt(t4 / t2)
+        return Embeddability(True, rank, (sigma,) * rank + (0.0,) * (4 - rank))
+    sigma = tuple(sorted(np.abs(np.linalg.eigvalsh(m)).tolist(), reverse=True))
+    if t2 == 0:
+        return Embeddability(False, 0, sigma, "no edges")
+    listed = ", ".join(f"{s:.6f}" for s in sigma if round(s, 6))
+    return Embeddability(
+        False, 0, sigma, f"unequal nonzero singular values ({listed})")
+
+
+def build_catalog_per_code(include_all: bool = False) -> list[CatalogRecord]:
+    """The catalog checked code by code, each kept graph classified by a
+    depth-first search of its components."""
+    records = []
+    for code in graphs.all_codes():
+        m = graphs.decode_code(code)
+        emb = embeddability_check_per_code(m)
+        if not (emb.embeddable or include_all):
+            continue
+        records.append(CatalogRecord(
+            code=code,
+            embeddable=emb.embeddable,
+            iso_class=graphs.classify(graphs.build_adjacency(m)),
+            rank=emb.rank if emb.embeddable else None,
+            m=emb.rank * MEAN_PHOTON_SINGLE if emb.embeddable else None,
+            singular_value=emb.singular_values[0] if emb.embeddable else None,
+            reason=emb.reason,
+        ))
+    return records
 
 
 def ingest_samples_per_line(path) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from gbsgraphs import catalog, embedding, engine, graphs
 from gbsgraphs.cli import cli
-from oracles import assert_ingest_matches_oracle
+from oracles import assert_ingest_matches_oracle, build_catalog_per_code
 
 
 @pytest.fixture()
@@ -62,12 +63,51 @@ def test_enumerate_is_byte_identical_across_runs(tmp_path, runner):
 
 
 @pytest.mark.parametrize("include_all, kept", [(False, 75), (True, 1024)])
-def test_build_catalog_checks_each_code_once(count_calls, include_all, kept):
+def test_build_catalog_checks_each_code_once(tmp_path, runner, monkeypatch,
+                                             count_calls, include_all, kept):
+    # One batched walk per run; the eigensolver runs once, and only when the
+    # rejected codes' reasons are listed.
+    walks = count_calls(embedding, "walk_codes")
     checks = count_calls(embedding, "embeddability_check")
     classified = count_calls(graphs, "classify")
     embedded = count_calls(embedding, "make_embedding")
-    assert len(catalog.build_catalog(include_all)) == kept
-    assert (len(checks), len(classified), len(embedded)) == (1024, kept, 0)
+    eigensolves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a: eigensolves.append(a) or eigvalsh(*a))
+    args = ["enumerate", "--out", "cat.json"] + ["--all-candidates"] * include_all
+    assert run_in(tmp_path, runner, args).exit_code == 0
+    assert len(catalog.load_catalog(tmp_path / "cat.json")) == kept
+    assert (len(walks), len(checks), len(classified), len(embedded)) == (1, 0, 0, 0)
+    assert len(eigensolves) == include_all
+
+
+@pytest.mark.parametrize("include_all", [False, True])
+def test_build_catalog_matches_per_code_oracle(include_all):
+    assert catalog.build_catalog(include_all) == build_catalog_per_code(include_all)
+
+
+# sha256 of the enumerate outputs, pinned when the catalog was first built by
+# one batched walk; they equal those of the per-code catalog before it.
+ENUMERATE_SHA256 = {
+    ("json",): "087b17005d02d94e72e2a7d91f8dfa93c3b24153de1f362932fdcd8519134a9c",
+    ("csv",): "6a4ab4b9b575aff97b1fad1207a5d6014d58b0f699eb7f9b31a19094d346d776",
+    ("json", "--all-candidates"):
+        "e52aa3b33ca538e76eeaad3122b00f65b288076ec8f9b6dde7d058a0b4b32b8c",
+    ("csv", "--all-candidates"):
+        "7382655613a7a223a8385fb7d91e297e464264731e2e649d565a586481a58b43",
+}
+
+
+@pytest.mark.parametrize("variant", list(ENUMERATE_SHA256),
+                         ids=["json", "csv", "json-all", "csv-all"])
+def test_enumerate_output_bytes_are_pinned(tmp_path, runner, variant):
+    fmt, *extra = variant
+    result = run_in(tmp_path, runner,
+                    ["enumerate", "--format", fmt, "--out", "cat", *extra])
+    assert result.exit_code == 0, result.output
+    digest = hashlib.sha256((tmp_path / "cat").read_bytes()).hexdigest()
+    assert digest == ENUMERATE_SHA256[variant]
 
 
 def test_enumerate_csv_format(tmp_path, runner):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gbsgraphs import embedding, graphs
 from gbsgraphs.errors import NotEmbeddableError, ValidationError
 from oracles import blocks as blocks_oracle
+from oracles import embeddability_check_per_code
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -93,6 +94,28 @@ def test_embeddability_invariant_under_permutation(code, perm):
     assert a.rank == b.rank
 
 
+def test_walk_agrees_with_per_code_check_and_classifier_on_all_codes():
+    walked = embedding.walk_codes(include_all=True)
+    assert [c.code for c in walked] == list(graphs.all_codes())
+    for code, emb, label in walked:
+        m = graphs.decode_code(code)
+        assert emb == embedding.embeddability_check(m), code
+        assert emb == embeddability_check_per_code(m), code
+        assert label == graphs.classify(graphs.adjacency_for(code)), code
+        assert (label == graphs.OTHER) != emb.embeddable, code
+    assert embedding.walk_codes() == [c for c in walked if c.check.embeddable]
+
+
+def test_block_label_on_class_and_other_shapes():
+    for rank, a, b, label in [(1, 1, 1, "1K2"), (4, 1, 1, "4K2"),
+                              (2, 1, 2, "2P3"), (2, 2, 1, "2P3"),
+                              (2, 3, 1, "2S3"), (1, 2, 2, "1C4"),
+                              (1, 3, 3, "1K33"), (1, 4, 4, "1K44"),
+                              (1, 1, 2, graphs.OTHER), (2, 4, 4, graphs.OTHER),
+                              (1, 2, 3, graphs.OTHER)]:
+        assert graphs.block_label(rank, a, b) == label, (rank, a, b)
+
+
 # ---------------------------------------------------------------------------
 # embedding specs
 # ---------------------------------------------------------------------------
@@ -102,6 +125,16 @@ def test_enumerate_finds_75(embeddable):
     codes = [c for c, _ in embeddable]
     assert codes == sorted(codes)
     assert "0000000000" not in codes
+
+
+def test_enumerate_matches_per_code_make_embedding(embeddable):
+    for code, spec in embeddable:
+        want = embedding.make_embedding(code)
+        assert spec.code == code
+        assert (spec.blocks, spec.rank) == (want.blocks, want.rank), code
+        assert spec.scale_c == want.scale_c, code
+        assert np.array_equal(spec.scaled_matrix, want.scaled_matrix), code
+        assert spec.scaled_matrix.dtype == want.scaled_matrix.dtype
 
 
 def test_rank_one_codes_are_the_fifteen_single_structures(embeddable):

@@ -61,6 +61,62 @@ def test_all_codes_are_1024_ascending():
     assert codes[0] == "0000000000" and codes[-1] == "1111111111"
 
 
+def test_candidate_matrices_are_the_decoded_codes():
+    stack = graphs.candidate_matrices()
+    codes = list(graphs.all_codes())
+    assert stack.shape == (1024, 4, 4) and stack.dtype == np.int64
+    assert [graphs.code_of(n) for n in range(1024)] == codes
+    for m, code in zip(stack, codes):
+        assert np.array_equal(m, graphs.decode_code(code)), code
+
+
+def _entries_are_0_or_1_isin(m) -> bool:
+    """The entry check as it was written before its fast path."""
+    return bool(np.isin(m, (0, 1)).all())
+
+
+ENTRY_CASES = {
+    "bool": np.eye(4, dtype=bool),
+    "float": np.eye(4),
+    "float-half": np.eye(4) * 0.5,
+    "float-nan": np.full((4, 4), np.nan),
+    "complex": np.eye(4, dtype=complex),
+    "complex-imaginary": np.eye(4) * 1j,
+    "str": np.array([["0", "1", "0", "0"]] * 4),
+    "bytes": np.array([[b"0", b"1", b"0", b"0"]] * 4),
+    "object-int": np.eye(4, dtype=int).astype(object),
+    "object-bool": np.full((4, 4), True, dtype=object),
+    "object-none": np.full((4, 4), None, dtype=object),
+    "object-str": np.full((4, 4), "1", dtype=object),
+    "object-float": np.full((4, 4), 1.0, dtype=object),
+    "int-two": np.full((4, 4), 2),
+    "int-negative": np.full((4, 4), -1, dtype=np.int8),
+    "timedelta": np.zeros((4, 4), dtype="timedelta64[s]"),
+}
+
+
+# Accepted complex entries are cast to int64, which warns as it did before.
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize("name", list(ENTRY_CASES))
+def test_entry_check_accepts_and_rejects_as_before(name):
+    m = ENTRY_CASES[name]
+    accepted = _entries_are_0_or_1_isin(m)
+    if accepted:
+        assert np.array_equal(graphs.validate_submatrix(m), m.astype(np.int64))
+    else:
+        with pytest.raises(ValidationError, match="entries must be 0 or 1"):
+            graphs.validate_submatrix(m)
+    a = np.zeros((8, 8), dtype=m.dtype)
+    a[:4, 4:] = m
+    a[4:, :4] = m.T
+    if _entries_are_0_or_1_isin(a):
+        assert (graphs.connected_components(a)
+                == graphs.connected_components(a.astype(np.int64)))
+    else:
+        with pytest.raises(ValidationError, match="entries must be 0 or 1"):
+            graphs.connected_components(a)
+
+
 # ---------------------------------------------------------------------------
 # adjacency
 # ---------------------------------------------------------------------------

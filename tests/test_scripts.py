@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gbsgraphs import engine, graphs
+from gbsgraphs import embedding, engine, graphs
 from gbsgraphs.cli import cli
 from gbsgraphs.embedding import enumerate_embeddable
 
@@ -124,11 +124,22 @@ def test_run_pipeline_on_codes_of_one_class(tmp_path):
     assert clusters.splitlines()[1].endswith(",,")
 
 
-def test_pipeline_walks_the_codes_once(tmp_path, count_calls):
-    walks = count_calls(graphs, "all_codes")
+def test_pipeline_walks_the_codes_once(tmp_path, monkeypatch, count_calls):
+    # The pipeline and each figure command read the classes off one batched
+    # walk and classify no graph on its own.
+    walks = count_calls(embedding, "walk_codes")
+    classified = count_calls(graphs, "classify")
     result = invoke(["pipeline", "--outdir", str(tmp_path), *PIPELINE_ARGS])
     assert result.exit_code == 0, result.output
-    assert len(walks) == 1
+    assert (len(walks), len(classified)) == (1, 0)
+    monkeypatch.chdir(tmp_path)
+    for name in ("fig2", "fig4"):
+        walks.clear()
+        result = invoke(["figure", name, "--format", "csv", "--out-prefix", "cli",
+                         "--samples-dir", str(tmp_path / "samples"),
+                         "--codes", ",".join(CODES)])
+        assert result.exit_code == 0, result.output
+        assert (len(walks), len(classified)) == (1, 0), name
 
 
 @pytest.mark.parametrize("args", [list(k) for k in PIPELINE_ERRORS])
