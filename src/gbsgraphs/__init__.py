@@ -8,14 +8,13 @@ theory to event/orbit feature vectors for graph-similarity analysis.
 
 __version__ = "0.1.0"
 
-from .catalog import CatalogRecord, build_catalog, class_counts, load_catalog, write_catalog
+from .catalog import CatalogRecord, build_catalog, class_counts, write_catalog
 from .embedding import (
     Embeddability,
     EmbeddingSpec,
     embeddability_check,
     enumerate_embeddable,
     make_embedding,
-    mean_photon_total,
 )
 from .engine import (
     LossModel,
@@ -37,13 +36,11 @@ from .features import (
     DeviationCurve,
     EventSpec,
     FeatureVector,
-    event_of,
     fv_events_analytic,
     fv_events_from_samples,
     fv_orbits_analytic,
     fv_orbits_from_samples,
     match_loss,
-    orbit_of,
     relative_deviation,
 )
 from .graphs import (
@@ -54,7 +51,6 @@ from .graphs import (
     classify,
     connected_components,
     decode_code,
-    encode_matrix,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

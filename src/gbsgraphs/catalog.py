@@ -63,8 +63,3 @@ def write_catalog(records: list[CatalogRecord], path) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
-
-
-def load_catalog(path) -> list[CatalogRecord]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [CatalogRecord(**rec) for rec in payload["graphs"]]

@@ -11,13 +11,14 @@ import functools
 import json
 import math
 import time
+from collections.abc import Mapping
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import catalog, features, figures, graphs
-from .embedding import embeddability_check, make_embedding, mean_photon_total, walk_codes
+from .embedding import make_embedding, walk_codes
 from .engine import (
     MAX_SHOTS,
     LossModel,
@@ -81,6 +82,12 @@ def _parse_orbits(text: str) -> list[tuple[int, ...]]:
     return orbits
 
 
+def _parse_codes(text: str | None) -> list[str]:
+    """Graph codes of a comma list, stripped and checked; empty ones skipped."""
+    return [graphs.validate_code(c.strip()) for c in (text or "").split(",")
+            if c.strip()]
+
+
 def _echo_json(payload) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -127,19 +134,19 @@ def cmd_enumerate(all_candidates, out, fmt):
 @_mapped_errors
 def cmd_classify(codes):
     """Isomorphism class and components of one or more graph codes."""
+    walked = {c.code: c for c in walk_codes()}
     payload = []
     for code in codes:
-        adjacency = graphs.adjacency_for(code)
         components = [
             {"nodes": list(nodes), "node_count": sig.node_count,
              "edge_count": sig.edge_count, "degrees": list(sig.degrees)}
-            for nodes, sig in graphs.connected_components(adjacency)]
-        emb = embeddability_check(graphs.decode_code(code))
+            for nodes, sig in graphs.connected_components(graphs.adjacency_for(code))]
+        found = walked.get(code)
         payload.append({
             "code": code,
-            "class": graphs.classify(adjacency),
-            "embeddable": emb.embeddable,
-            "rank": emb.rank if emb.embeddable else None,
+            "class": found.iso_class if found else graphs.OTHER,
+            "embeddable": found is not None,
+            "rank": found.check.rank if found else None,
             "components": components,
         })
     _echo_json(payload)
@@ -158,7 +165,7 @@ def cmd_embed(code):
         "rank": spec.rank,
         "squeezing": list(spec.squeezing),
         "mean_photon_per_mode": spec.mean_photon_per_mode,
-        "mean_photon_total": mean_photon_total(spec),
+        "mean_photon_total": 8.0 * spec.mean_photon_per_mode,
     })
 
 
@@ -313,11 +320,6 @@ def _write_deviation(sample_path, code, step, csv_path, svg_path=None,
     return paths
 
 
-def _fig2(samples_by_code, labels, event_k, csv_path, svg_path):
-    rows = figures.event_by_class_rows(samples_by_code, event_k, labels)
-    return figures.write_event_by_class(rows, csv_path, svg_path, event_k)
-
-
 def _fig3(samples, code, step, csv_path, svg_path, events=None,
           n_max=features.DEFAULT_MAX_PER_MODE):
     """Write one graph's deviation grid; return the paths and matched loss factors."""
@@ -336,13 +338,25 @@ def _fig4(samples_by_code, labels, csv_path, clusters_path, svg_path):
     return paths, summaries
 
 
-def _load_sample_dir(directory, wanted):
-    directory = Path(directory)
-    missing = [c for c in wanted if not (directory / f"{c}.samples").exists()]
-    if missing:
-        raise ValidationError(
-            "missing per-code sample files: " + ", ".join(sorted(missing)))
-    return {c: ingest_samples(directory / f"{c}.samples") for c in wanted}
+class _SampleDir(Mapping):
+    """Read-only code -> SampleSet view of a directory's ``<code>.samples``
+    files, which must exist; each is ingested when read, and not kept."""
+
+    def __init__(self, directory, wanted):
+        self._paths = {c: Path(directory) / f"{c}.samples" for c in wanted}
+        missing = [c for c, path in self._paths.items() if not path.exists()]
+        if missing:
+            raise ValidationError(
+                "missing per-code sample files: " + ", ".join(sorted(missing)))
+
+    def __getitem__(self, code):
+        return ingest_samples(self._paths[code])
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self):
+        return len(self._paths)
 
 
 @cli.command("figure")
@@ -371,7 +385,6 @@ def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
     prefix = out_prefix or name
     csv_path = Path(f"{prefix}.csv")
     svg_path = Path(f"{prefix}.svg") if fmt == "svg" else None
-    code_list = [c.strip() for c in codes.split(",")] if codes else None
 
     if name == "fig3":
         if sample_path is None:
@@ -381,9 +394,10 @@ def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
         if samples_dir is None:
             raise ValidationError(f"{name} needs --samples-dir")
         labels = {c.code: c.iso_class for c in walk_codes()}
-        samples_by_code = _load_sample_dir(samples_dir, code_list or list(labels))
+        samples_by_code = _SampleDir(samples_dir, _parse_codes(codes) or list(labels))
         if name == "fig2":
-            paths = _fig2(samples_by_code, labels, event_k, csv_path, svg_path)
+            rows = figures.event_by_class_rows(samples_by_code, event_k, labels)
+            paths = figures.write_event_by_class(rows, csv_path, svg_path, event_k)
         else:
             paths, _ = _fig4(samples_by_code, labels, csv_path,
                              Path(f"{prefix}_clusters.csv"), svg_path)
@@ -418,7 +432,7 @@ def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
     """
     loss = LossModel(eta)
     features.loss_factor_grid(step)
-    wanted = {make_embedding(c).code for c in codes.split(",") if c}
+    wanted = {make_embedding(c).code for c in _parse_codes(codes)}
 
     start = time.perf_counter()
     (outdir / "samples").mkdir(parents=True, exist_ok=True)
@@ -440,7 +454,8 @@ def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
                f"at eta={eta} in {time.perf_counter() - start:.1f} s")
 
     labels = {rec.code: rec.iso_class for rec in records}
-    _fig2(samples, labels, event_k, outdir / "fig2.csv", outdir / "fig2.svg")
+    rows = figures.event_by_class_rows(samples, event_k, labels)
+    figures.write_event_by_class(rows, outdir / "fig2.csv", outdir / "fig2.svg", event_k)
     click.echo("fig2: event values per graph")
 
     if FIG3_CODE in samples:

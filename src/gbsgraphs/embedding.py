@@ -174,8 +174,3 @@ def make_embedding(code: str) -> EmbeddingSpec:
 def enumerate_embeddable() -> list[tuple[str, EmbeddingSpec]]:
     """All embeddable codes with their specs, in ascending code order."""
     return [(c.code, make_embedding(c.code)) for c in walk_codes()]
-
-
-def mean_photon_total(spec: EmbeddingSpec) -> float:
-    """Mean photon number over the whole device: 8 times the per-mode value."""
-    return 8.0 * spec.mean_photon_per_mode

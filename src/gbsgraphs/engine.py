@@ -398,19 +398,9 @@ class ProbabilityTable:
     cutoff_pairs: int
     patterns: np.ndarray        # (N, 8) int64
     probs: np.ndarray           # (N,) float64
-    covered_mass: float
 
     def __len__(self) -> int:
         return len(self.probs)
-
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return {tuple(int(c) for c in p): float(v)
-                for p, v in zip(self.patterns, self.probs)}
-
-    def slice_mass(self, pairs: int) -> float:
-        """Summed probability of all patterns with ``pairs`` pairs."""
-        totals = self.patterns[:, :4].sum(axis=1)
-        return float(self.probs[totals == pairs].sum())
 
 
 _Poly = dict[tuple[int, int, int, int], int]
@@ -480,7 +470,6 @@ def build_table(spec: EmbeddingSpec,
         cutoff_pairs=cutoff_pairs,
         patterns=patterns,
         probs=probs,
-        covered_mass=float(probs.sum()),
     )
 
 
@@ -510,9 +499,6 @@ class SampleMeta:
     seed: int | None = None
     loss: float | None = None         # effective transmission eta, if thinned
     threshold: bool = False
-
-    def to_json_dict(self, shots: int) -> dict:
-        return {**asdict(self), "shots": shots}
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,7 +575,7 @@ def write_samples(samples: SampleSet, path) -> tuple[Path, Path]:
     path.write_text(text or "\n", encoding="utf-8")
     meta_path = meta_path_for(path)
     meta_path.write_text(
-        json.dumps(samples.meta.to_json_dict(len(samples)),
+        json.dumps({**asdict(samples.meta), "shots": len(samples)},
                    indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     return path, meta_path

@@ -44,22 +44,6 @@ class EventSpec(NamedTuple):
 OrbitId = tuple[int, ...]
 
 
-def orbit_of(pattern) -> OrbitId:
-    """Nonzero counts sorted nonincreasing; the empty tuple for vacuum."""
-    arr = engine.validate_pattern(pattern)
-    return tuple(sorted((int(c) for c in arr if c > 0), reverse=True))
-
-
-def event_of(pattern, n_max: int) -> int | None:
-    """Total count if every mode stays within ``n_max``, else None."""
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    arr = engine.validate_pattern(pattern)
-    if (arr > n_max).any():
-        return None
-    return int(arr.sum())
-
-
 def validate_orbit(orbit) -> OrbitId:
     orbit = tuple(int(x) for x in orbit)
     if len(orbit) > graphs.N_NODES:

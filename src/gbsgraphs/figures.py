@@ -17,6 +17,7 @@ import numpy as np
 from . import features, graphs, svg
 from .embedding import EmbeddingSpec, make_embedding, walk_codes
 from .engine import SampleSet
+from .errors import ValidationError
 
 _CLASS_COLOR = dict(zip(graphs.CLASS_LABELS, svg.PALETTE))
 
@@ -120,7 +121,9 @@ def deviation_rows(samples: SampleSet, spec: EmbeddingSpec,
                    step: float = 0.01,
                    cutoff_pairs: int | None = None):
     """Deviation curve and matched loss factors, from one evaluation of the
-    grid (``cutoff_pairs``: accepted, unused)."""
+    grid (``cutoff_pairs``: accepted, unused); threshold samples are refused."""
+    if samples.meta.threshold:
+        raise ValidationError("deviation needs photon counts, not threshold clicks")
     loss_factors = features.loss_factor_grid(step)
     sampled = features.fv_events_from_samples(samples, events, n_max)
     curve = features.relative_deviation(sampled, spec, 1.0 - loss_factors)

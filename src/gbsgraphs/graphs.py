@@ -12,7 +12,7 @@ K_{a,b} from that block shape alone, through the same signature table.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,11 +77,6 @@ def code_of(n: int) -> str:
     return format(n, f"0{CODE_LENGTH}b")
 
 
-def all_codes() -> Iterator[str]:
-    """All 1024 candidate codes in ascending binary order."""
-    return map(code_of, range(1 << CODE_LENGTH))
-
-
 def candidate_matrices() -> np.ndarray:
     """The (1024, 4, 4) int64 stack of all candidate submatrices.
 
@@ -116,12 +111,6 @@ def decode_code(code: str) -> np.ndarray:
     for digit, (i, j) in zip(code, _UPPER_SLOTS):
         m[i, j] = m[j, i] = int(digit)
     return m
-
-
-def encode_matrix(m) -> str:
-    """Inverse of :func:`decode_code`: read the code off the upper triangle."""
-    m = validate_submatrix(m)
-    return "".join(str(int(m[i, j])) for i, j in _UPPER_SLOTS)
 
 
 def build_adjacency(m) -> np.ndarray:

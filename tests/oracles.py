@@ -93,6 +93,28 @@ def blocks(code: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
             for nodes, sig in parts if sig.node_count > 1]
 
 
+def code_of_matrix(m) -> str:
+    """The code whose decoded submatrix is ``m``."""
+    match = (graphs.candidate_matrices() == np.asarray(m)).all(axis=(1, 2))
+    return graphs.code_of(int(np.flatnonzero(match)[0]))
+
+
+def table_lookup(table) -> dict[tuple[int, ...], float]:
+    """A probability table as pattern tuple -> probability."""
+    return dict(zip(map(tuple, table.patterns.tolist()), table.probs.tolist()))
+
+
+def slice_mass(table, pairs: int) -> float:
+    """Summed table probability of the patterns with ``pairs`` photon pairs."""
+    return float(table.probs[table.patterns[:, :4].sum(axis=1) == pairs].sum())
+
+
+def read_catalog(path) -> list[CatalogRecord]:
+    """The records of a catalog file written by ``catalog.write_catalog``."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    return [CatalogRecord(**rec) for rec in payload["graphs"]]
+
+
 def embeddability_check_per_code(m) -> Embeddability:
     """The trace test on one matrix, with its own integer arithmetic and, for
     a rejected matrix, its own eigensolver call."""
@@ -115,7 +137,7 @@ def build_catalog_per_code(include_all: bool = False) -> list[CatalogRecord]:
     """The catalog checked code by code, each kept graph classified by a
     depth-first search of its components."""
     records = []
-    for code in graphs.all_codes():
+    for code in map(graphs.code_of, range(1024)):
         m = graphs.decode_code(code)
         emb = embeddability_check_per_code(m)
         if not (emb.embeddable or include_all):

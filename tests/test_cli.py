@@ -9,9 +9,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsgraphs import catalog, embedding, engine, graphs
+from gbsgraphs import catalog, embedding, engine, features, graphs
 from gbsgraphs.cli import cli
-from oracles import assert_ingest_matches_oracle, build_catalog_per_code
+from oracles import (assert_ingest_matches_oracle, build_catalog_per_code,
+                     embeddability_check_per_code, read_catalog)
 
 
 @pytest.fixture()
@@ -36,7 +37,7 @@ def run_in(tmp_path, runner, args):
 def test_enumerate_default_is_75(tmp_path, runner):
     result = run_in(tmp_path, runner, ["enumerate", "--out", "cat.json"])
     assert result.exit_code == 0, result.output
-    records = catalog.load_catalog(tmp_path / "cat.json")
+    records = read_catalog(tmp_path / "cat.json")
     assert len(records) == 75
     assert all(rec.embeddable for rec in records)
     assert [r.code for r in records] == sorted(r.code for r in records)
@@ -50,7 +51,7 @@ def test_enumerate_all_candidates_is_1024(tmp_path, runner):
     result = run_in(tmp_path, runner,
                     ["enumerate", "--all-candidates", "--out", "cat.json"])
     assert result.exit_code == 0
-    records = catalog.load_catalog(tmp_path / "cat.json")
+    records = read_catalog(tmp_path / "cat.json")
     assert len(records) == 1024
     reasons = {rec.reason for rec in records if not rec.embeddable}
     assert "no edges" in reasons
@@ -77,7 +78,7 @@ def test_build_catalog_checks_each_code_once(tmp_path, runner, monkeypatch,
                         lambda *a: eigensolves.append(a) or eigvalsh(*a))
     args = ["enumerate", "--out", "cat.json"] + ["--all-candidates"] * include_all
     assert run_in(tmp_path, runner, args).exit_code == 0
-    assert len(catalog.load_catalog(tmp_path / "cat.json")) == kept
+    assert len(read_catalog(tmp_path / "cat.json")) == kept
     assert (len(walks), len(checks), len(classified), len(embedded)) == (1, 0, 0, 0)
     assert len(eigensolves) == include_all
 
@@ -131,6 +132,34 @@ def test_classify_outputs_class_and_components(tmp_path, runner):
     assert payload[0]["embeddable"] is True
     assert payload[1]["class"] == "OTHER"
     assert payload[1]["embeddable"] is False
+
+
+def test_classify_reads_one_walk_and_solves_no_eigenvalues(tmp_path, runner,
+                                                           monkeypatch, count_calls):
+    # Class, embeddability and rank come from one batched walk, so a rejected
+    # code costs no eigensolver; each code's components are found once.
+    walks = count_calls(embedding, "walk_codes")
+    components = count_calls(graphs, "connected_components")
+    eigensolves = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: eigensolves.append(a))
+    codes = ["0110000000", "1100000000", "0000000000", "1111111111"]
+    result = run_in(tmp_path, runner, ["classify", *codes])
+    assert result.exit_code == 0, result.output
+    assert (len(walks), len(components), len(eigensolves)) == (1, len(codes), 0)
+    payload = json.loads(result.output)
+    assert [p["class"] for p in payload] == ["2P3", "OTHER", "OTHER", "1K44"]
+    assert [p["rank"] for p in payload] == [2, None, None, 1]
+
+
+def test_classify_all_codes_matches_per_code_checks(tmp_path, runner):
+    codes = [graphs.code_of(n) for n in range(1024)]
+    result = run_in(tmp_path, runner, ["classify", *codes])
+    assert result.exit_code == 0, result.output
+    for entry, code in zip(json.loads(result.output), codes):
+        emb = embeddability_check_per_code(graphs.decode_code(code))
+        assert entry["class"] == graphs.classify(graphs.adjacency_for(code)), code
+        assert entry["embeddable"] == emb.embeddable, code
+        assert entry["rank"] == (emb.rank if emb.embeddable else None), code
 
 
 def test_classify_rejects_bad_code(tmp_path, runner):
@@ -633,6 +662,51 @@ def test_figure_fig2_missing_codes_listed(tmp_path, runner, sample_dir):
     assert result.exit_code == 2
     assert "missing per-code sample files" in result.output
     assert "0110000000" in result.output
+
+
+def test_figure_codes_skip_empty_entries_and_check_the_rest(tmp_path, runner,
+                                                           sample_dir):
+    args = ["figure", "fig2", "--samples-dir", str(sample_dir), "--format", "csv"]
+    result = run_in(tmp_path, runner, args + ["--codes", "0000000100,"])
+    assert result.exit_code == 0, result.output
+    assert len((tmp_path / "fig2.csv").read_text().splitlines()) == 2
+    result = run_in(tmp_path, runner, args + ["--codes", " 0000000100 ,x1"])
+    assert result.exit_code == 2, result.output
+    assert "graph code must have 10 digits, got 'x1'" in result.output
+
+
+def test_figure_ingests_each_file_when_its_row_is_built(tmp_path, runner, sample_dir,
+                                                       monkeypatch, count_calls):
+    # Every file is checked to exist before any is read; then each is read
+    # once, just before its row, so one sample set is held at a time.
+    ingested = count_calls(engine, "ingest_samples")
+    read_before_row, row = [], features.fv_orbits_from_samples
+    monkeypatch.setattr(features, "fv_orbits_from_samples", lambda *a: (
+        read_before_row.append(len(ingested)) or row(*a)))
+    args = ["figure", "fig4", "--samples-dir", str(sample_dir), "--format", "csv"]
+    result = run_in(tmp_path, runner,
+                    args + ["--codes", "1111111111,0000000100,0110000000"])
+    assert result.exit_code == 2 and ingested == [], result.output
+    result = run_in(tmp_path, runner,
+                    args + ["--codes", "1111111111,0000000100,1000000000"])
+    assert result.exit_code == 0, result.output
+    assert read_before_row == [1, 2, 3]
+    assert [Path(a[0]).stem for a in ingested] == [
+        "0000000100", "1000000000", "1111111111"]
+
+
+@pytest.mark.parametrize("command", [
+    ["deviation", "--samples", "t.samples", "--out", "dev.csv"],
+    ["figure", "fig3", "--samples", "t.samples", "--out-prefix", "dev"]])
+def test_deviation_refuses_threshold_samples(tmp_path, runner, command):
+    # Click totals are not photon totals: matching them against the
+    # photon-number law would report meaningless loss factors.
+    run_in(tmp_path, runner, ["simulate", "1111111111", "--shots", "300",
+                              "--loss", "0.55", "--threshold", "--out", "t.samples"])
+    result = run_in(tmp_path, runner, command)
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "not threshold clicks" in result.output
+    assert not (tmp_path / "dev.csv").exists()
 
 
 def test_figure_fig3_curves(tmp_path, runner, sample_dir):

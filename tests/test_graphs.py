@@ -43,11 +43,6 @@ def test_non_string_code_rejected():
 
 
 @given(codes_st)
-def test_encode_decode_roundtrip(code):
-    assert graphs.encode_matrix(graphs.decode_code(code)) == code
-
-
-@given(codes_st)
 def test_decoded_matrix_is_valid(code):
     m = graphs.decode_code(code)
     assert (m == m.T).all()
@@ -55,18 +50,17 @@ def test_decoded_matrix_is_valid(code):
 
 
 def test_all_codes_are_1024_ascending():
-    codes = list(graphs.all_codes())
-    assert len(codes) == 1024
+    codes = [graphs.code_of(n) for n in range(1024)]
+    assert len(set(codes)) == 1024
     assert codes == sorted(codes)
     assert codes[0] == "0000000000" and codes[-1] == "1111111111"
 
 
 def test_candidate_matrices_are_the_decoded_codes():
     stack = graphs.candidate_matrices()
-    codes = list(graphs.all_codes())
     assert stack.shape == (1024, 4, 4) and stack.dtype == np.int64
-    assert [graphs.code_of(n) for n in range(1024)] == codes
-    for m, code in zip(stack, codes):
+    for n, m in enumerate(stack):
+        code = graphs.code_of(n)
         assert np.array_equal(m, graphs.decode_code(code)), code
 
 

@@ -124,6 +124,14 @@ def test_run_pipeline_on_codes_of_one_class(tmp_path):
     assert clusters.splitlines()[1].endswith(",,")
 
 
+def test_pipeline_codes_skip_empty_entries(tmp_path):
+    result = invoke(["pipeline", "--outdir", str(tmp_path), "--shots", "50",
+                     "--codes", " 0000000100 ,"])
+    assert result.exit_code == 0, result.output
+    assert sorted(os.listdir(tmp_path / "samples")) == [
+        "0000000100.meta.json", "0000000100.samples"]
+
+
 def test_pipeline_walks_the_codes_once(tmp_path, monkeypatch, count_calls):
     # The pipeline and each figure command read the classes off one batched
     # walk and classify no graph on its own.
