@@ -545,7 +545,11 @@ def apply_loss(samples: SampleSet, loss: LossModel,
     if samples.meta.threshold:
         raise ValidationError("cannot apply loss to threshold-converted samples")
     rng = np.random.default_rng(seed)
-    thinned = rng.binomial(samples.shots, loss.eta).astype(np.int64)
+    # numpy draws no variate for a count of 0, so thinning only the nonzero
+    # counts, in row-major order, consumes the stream as thinning them all.
+    nonzero = samples.shots != 0
+    thinned = np.zeros(samples.shots.shape, dtype=np.int64)
+    thinned[nonzero] = rng.binomial(samples.shots[nonzero], loss.eta)
     prior = samples.meta.loss if samples.meta.loss is not None else 1.0
     return SampleSet(shots=thinned,
                      meta=replace(samples.meta, loss=prior * loss.eta))
@@ -568,10 +572,22 @@ def meta_path_for(path) -> Path:
 
 
 def write_samples(samples: SampleSet, path) -> tuple[Path, Path]:
-    """Write one JSON-array shot per line, plus the companion meta file."""
+    """Write one JSON-array shot per line, plus the companion meta file.
+
+    Each distinct row is formatted once, and the shots' lines are joined by
+    its index.  Rows of counts below 256 are keyed as one uint64 each.
+    """
     path = Path(path)
+    shots = samples.shots
+    if shots.size and 0 <= shots.min() and shots.max() < 256:
+        keys = shots.astype(np.uint8, order="C").view(np.uint64).ravel()
+        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+        distinct = shots[first]
+    else:
+        distinct, index = np.unique(shots, axis=0, return_inverse=True)
     row = "[" + ",".join(["%d"] * graphs.N_NODES) + "]\n"
-    text = (row * len(samples.shots)) % tuple(samples.shots.ravel().tolist())
+    lines = ((row * len(distinct)) % tuple(distinct.ravel().tolist())).splitlines(True)
+    text = "".join(np.array(lines, dtype=object)[index.ravel()].tolist())
     path.write_text(text or "\n", encoding="utf-8")
     meta_path = meta_path_for(path)
     meta_path.write_text(

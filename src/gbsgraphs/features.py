@@ -10,6 +10,7 @@ thinned per photon when a loss model is given).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -73,10 +74,21 @@ def _distinct_orders(parts: tuple) -> list[tuple]:
 
 
 def orbit_patterns(orbit) -> np.ndarray:
-    """All distinct patterns in the orbit, as an (n, 8) array in ascending order."""
+    """All distinct patterns in the orbit, as an int64 (n, 8) array in
+    ascending lexicographic order.
+
+    The k nonzero parts fill k of the 8 modes: each of the C(8, k) slot
+    choices takes each distinct ordering of the parts, and one lexsort puts
+    the rows in order.  Every call builds a fresh array.
+    """
     orbit = validate_orbit(orbit)
-    padded = (0,) * (graphs.N_NODES - len(orbit)) + orbit[::-1]
-    return np.array(_distinct_orders(padded), dtype=np.int64)
+    slots = np.array(list(itertools.combinations(range(graphs.N_NODES), len(orbit))),
+                     dtype=np.intp)
+    orders = np.array(_distinct_orders(orbit[::-1]), dtype=np.int64)
+    out = np.zeros((len(slots) * len(orders), graphs.N_NODES), dtype=np.int64)
+    out[np.arange(len(out))[:, None], np.repeat(slots, len(orders), axis=0)] = (
+        np.tile(orders, (len(slots), 1)))
+    return out[np.lexsort(out.T[::-1])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +214,15 @@ def fv_orbits_analytic(spec: EmbeddingSpec, orbits: Sequence[OrbitId],
     unused."""
     eta = 1.0 if loss is None else loss.eta
     orbits = [validate_orbit(o) for o in orbits]
-    values = [float(engine.detected_probabilities(spec, orbit_patterns(o), eta).sum())
-              for o in orbits]
+    # One law call over every orbit's members, summed per orbit: a pattern's
+    # probability does not depend on the other rows of the call.  The empty
+    # block keeps an empty orbit list valid.
+    members = [orbit_patterns(o) for o in orbits]
+    prob = engine.detected_probabilities(
+        spec, np.concatenate([np.empty((0, graphs.N_NODES), np.int64), *members]),
+        eta)
+    ends = np.cumsum([len(m) for m in members], dtype=np.intp)
+    values = [float(prob[end - len(m):end].sum()) for m, end in zip(members, ends)]
     return FeatureVector(
         labels=tuple(orbits),
         values=np.array(values),

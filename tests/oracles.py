@@ -62,6 +62,13 @@ def orbit_patterns(orbit) -> np.ndarray:
     return np.array(sorted(set(itertools.permutations(padded))), dtype=np.int64)
 
 
+def sample_file_text(shots) -> str:
+    """Sample-file text with one ``%`` line per shot: the writer
+    ``engine.write_samples`` had before it formatted each distinct row once."""
+    row = "[" + ",".join(["%d"] * N_NODES) + "]\n"
+    return (row * len(shots)) % tuple(np.asarray(shots).ravel().tolist()) or "\n"
+
+
 def permanent_naive(matrix) -> float:
     """Laplace-expansion permanent, the cross-check for the Ryser kernel.
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gbsgraphs import embedding, engine, graphs
 from gbsgraphs.errors import SampleFormatError, ValidationError
 from oracles import (assert_ingest_matches_oracle, code_of_matrix, permanent_naive,
-                     slice_mass, table_lookup)
+                     sample_file_text, slice_mass, table_lookup)
 
 SECH2 = 1.0 / math.cosh(1.0) ** 2
 TANH2 = math.tanh(1.0) ** 2
@@ -489,6 +489,18 @@ def test_total_after_loss_matches_binomially_thinned_law(k44_spec):
         assert abs((totals == k).mean() - p) < 4 * se, k
 
 
+def test_thinning_equals_dense_thinning_at_the_pipeline_seeds(embeddable):
+    # apply_loss draws only for nonzero counts; this rests on numpy drawing
+    # no variate for a count of 0.
+    streams = np.random.SeedSequence(7).spawn(len(embeddable))
+    for (code, spec), stream in zip(embeddable, streams):
+        sample_stream, loss_stream = stream.spawn(2)
+        out = engine.sample(spec, 2_000, sample_stream)
+        got = engine.apply_loss(out, engine.LossModel(0.55), loss_stream).shots
+        want = np.random.default_rng(loss_stream).binomial(out.shots, 0.55)
+        assert got.dtype == np.int64 and np.array_equal(got, want), code
+
+
 def test_loss_composes_multiplicatively(k44_spec):
     out = engine.sample(k44_spec, 100, seed=1)
     once = engine.apply_loss(out, engine.LossModel(0.8), seed=2)
@@ -554,6 +566,22 @@ def test_write_samples_bytes_equal_json_rows(tmp_path, shots):
     want = "\n".join(json.dumps(row, separators=(",", ":"))
                      for row in shots.tolist()) + "\n"
     assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("counts", ["below-256", "256-and-up"])
+def test_write_samples_bytes_equal_per_shot_writer(tmp_path, k44_spec, counts):
+    if counts == "below-256":
+        shots = engine.apply_loss(engine.sample(k44_spec, 3_000, seed=61),
+                                  engine.LossModel(0.55), seed=62).shots
+    else:
+        rng = np.random.default_rng(63)
+        rows = rng.choice([0, 1, 255, 256, 2 ** 40], size=(40, 8))
+        shots = rows[rng.integers(0, len(rows), size=2_000)]
+        assert shots.max() >= 256
+    path = tmp_path / "x.samples"
+    engine.write_samples(
+        engine.SampleSet(shots=shots, meta=engine.SampleMeta("simulated")), path)
+    assert path.read_bytes() == sample_file_text(shots).encode("utf-8")
 
 
 def test_ingest_three_identical_lines(tmp_path):

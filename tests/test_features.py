@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbsgraphs import embedding, engine, features, figures
+from gbsgraphs.cli import CLASS_REPRESENTATIVES
 from gbsgraphs.engine import LossModel, SampleMeta, SampleSet
 from gbsgraphs.errors import ValidationError
 from oracles import orbit_patterns as orbit_patterns_oracle
@@ -45,8 +46,15 @@ def test_orbit_is_permutation_invariant(counts):
     assert fv.values.tolist() == [1.0]
 
 
-@pytest.mark.parametrize("orbit", [
-    (), (1,), (1, 1, 1), (2, 1, 1), (2, 2, 1, 1), (1,) * 8, (8, 7, 6, 5, 4, 3, 2, 1)])
+_ORBIT_EXAMPLES = [
+    (), (1,), (1, 1, 1), (2, 1, 1), (2, 2, 1, 1), (1,) * 8, (8, 7, 6, 5, 4, 3, 2, 1)]
+
+
+# The examples, then every other orbit of total at most 10 (136 in all) and
+# one with parts near the int64 range.
+@pytest.mark.parametrize("orbit", _ORBIT_EXAMPLES + [
+    o for total in range(11) for o in partitions(total, total)
+    if o not in _ORBIT_EXAMPLES] + [(10 ** 18, 5)])
 def test_orbit_patterns_match_permutation_oracle(orbit):
     got = features.orbit_patterns(orbit)
     want = orbit_patterns_oracle(orbit)
@@ -255,6 +263,23 @@ def test_analytic_orbits_lossless(specs_by_code):
     assert fv.values[0] == pytest.approx(SECH2 * TANH2, abs=1e-12)
     assert fv.values[1] == 0.0
     assert fv.values[2] == pytest.approx(SECH2, abs=1e-12)
+    empty = features.fv_orbits_analytic(spec, [])
+    assert empty.labels == () and empty.values.shape == (0,)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.55])
+def test_analytic_orbits_are_one_law_call_equal_to_per_orbit_calls(
+        specs_by_code, count_calls, eta):
+    calls = count_calls(engine, "detected_probabilities")
+    for code in CLASS_REPRESENTATIVES.values():
+        spec = specs_by_code[code]
+        calls.clear()
+        fv = features.fv_orbits_analytic(spec, features.DEFAULT_ORBITS, LossModel(eta))
+        assert len(calls) == 1
+        want = [float(engine.detected_probabilities(
+                    spec, features.orbit_patterns(o), eta).sum())
+                for o in features.DEFAULT_ORBITS]
+        assert fv.values.tolist() == want, code
 
 
 def test_analytic_orbits_lossy_match_brute_force(specs_by_code):
