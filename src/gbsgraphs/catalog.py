@@ -9,7 +9,7 @@ they are listed (``include_all``).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import graphs
@@ -55,7 +55,7 @@ def class_counts(records: list[CatalogRecord]) -> dict[str, int]:
 def write_catalog(records: list[CatalogRecord], path) -> Path:
     path = Path(path)
     payload = {
-        "graphs": [asdict(rec) for rec in records],
+        "graphs": [vars(rec) for rec in records],
         "class_counts": class_counts(records),
         "total": len(records),
         "embeddable": sum(1 for r in records if r.embeddable),

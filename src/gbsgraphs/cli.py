@@ -212,13 +212,18 @@ def cmd_ingest(path, out):
     totals = shots.sum(axis=1)
     observed, counts = np.unique(totals, return_counts=True)
     events = features.fv_events_from_samples(samples, observed.tolist())
+    # Counts are nonnegative, so int64 column sums wrap only past this bound.
+    if shots.max() <= (2 ** 63 - 1) // len(shots):
+        mode_totals = shots.sum(axis=0).tolist()
+    else:
+        mode_totals = [int(x) for x in shots.sum(axis=0, dtype=object)]
     report = {
         "path": str(path),
         "shots": len(samples),
         "code": samples.meta.code,
         "threshold": samples.meta.threshold,
         "loss": samples.meta.loss,
-        "mode_totals": [int(x) for x in shots.sum(axis=0, dtype=object)],
+        "mode_totals": mode_totals,
         "total_histogram": {str(k): int(c) for k, c in zip(observed, counts)},
         "odd_total_fraction": float((totals % 2 == 1).mean()),
         "event_frequencies": {str(e.k): float(v)

@@ -648,13 +648,62 @@ _A, _B = b"[0,0,1,0,0,0,1,0]", b"[1,0,0,0,1,0,0,0]"
     b"\xff" + _A + b"\n",
     b"# h\n\n# h\n",
     b"[1" + b"0" * 5000 + b",0,0,0,0,0,0,0]\n" + _A + b"\n",
+    b"[" + b",".join([b"9" * 18] * 8) + b"]\n",
+    b"[" + b"1" + b"0" * 18 + b",0,0,0,0,0,0,0]\n" + _A + b"\n",
+    b"[9223372036854775807,0,0,0,0,0,0,0]\n",
+    _A + b"\n[9223372036854775807,1,0,0,0,0,0,0]\n",
+    _A + b"\n[01,0,0,0,0,0,0,0]\n",
+    b"[-0,0,0,0,0,0,0,1]\n" + _A + b"\n",
+    _A + b"\n[1 2,0,0,0,0,0,0,0]\n",
+    _A + b"\n" + _A + b"]\n",
+    b"\t[\t0\t,1 ,\t0, 0,0,0,0,0 ]\t\n \t\n\t# h\n",
+    b"\t" + _A + b"\t\r\n" + _A + b"\n",
+    b"\f" + _A + b"\n" + _A + b"\n",
+    _A + b"\n" + _A + b"\x00\n",
+    "# h\u00e9 \u2713\n".encode() + _A + b"\n",
+    _A + b"\n# \xff\n",
+    _A + b"\n" + _B + b"\n" + _A,
+    b"# h\n" + _A + b"\n# h",
+    (_A + b"\n") * 70_000 + b"[0,0,0]\n" + _B + b"\n",
+    _B + b"\n" + (_A + b"\n") * 70_000 + _B + b"\n",
 ], ids=["repeats", "bad-first", "bad-middle-repeated", "negative-repeated",
         "comments-and-blanks", "crlf", "no-final-newline", "invalid-utf8",
-        "invalid-utf8-first", "no-samples", "too-many-digits"])
+        "invalid-utf8-first", "no-samples", "too-many-digits", "18-digits",
+        "19-digits", "2^63-1", "sum-past-2^63-1", "leading-zero", "minus-zero",
+        "space-in-count", "double-bracket", "tabs", "tab-crlf", "form-feed",
+        "nul", "utf8-comment", "invalid-utf8-comment",
+        "repeat-without-final-newline", "comment-without-final-newline",
+        "bad-past-1mib", "repeat-across-1mib"])
 def test_ingest_matches_per_line_oracle(tmp_path, content):
     path = tmp_path / "x.samples"
     path.write_bytes(content)
     assert_ingest_matches_oracle(path)
+
+
+def test_ingest_reads_written_samples_without_the_json_parser(
+        tmp_path, monkeypatch, k44_spec):
+    shots = engine.apply_loss(engine.sample(k44_spec, 2_000, seed=64),
+                              engine.LossModel(0.55), seed=65).shots
+    rng = np.random.default_rng(66)
+    shots[:40] = rng.choice([0, 1, 256, 10 ** 18 - 1], size=(40, 8))
+    path = tmp_path / "x.samples"
+    engine.write_samples(
+        engine.SampleSet(shots=shots, meta=engine.SampleMeta("simulated")), path)
+    loaded = []
+    json_loads = json.loads
+
+    def loads(text, *args, **kwargs):
+        loaded.append(text)
+        return json_loads(text, *args, **kwargs)
+
+    def parse_line(*args):
+        raise AssertionError("a line went to _parse_line")
+
+    monkeypatch.setattr(json, "loads", loads)
+    monkeypatch.setattr(engine, "_parse_line", parse_line)
+    got = engine.ingest_samples(path)
+    assert loaded == [engine.meta_path_for(path).read_text(encoding="utf-8")]
+    assert np.array_equal(got.shots, shots)
 
 
 def test_build_table_and_ingest_leave_no_cyclic_garbage(tmp_path, k44_spec):
