@@ -1,7 +1,9 @@
 """Exact pattern probabilities, the product law, seeded sampling, and loss.
 
-``pattern_probability`` and ``build_table`` compute pattern probabilities as
-the paper does, from permanents, and serve as the reference.  Every
+``pattern_probability`` (Ryser's formula) and ``build_table`` (each
+permanent read off the multinomial theorem; see there for the rounding
+order) compute pattern probabilities as the paper does, from permanents, and
+serve as the reference.  Every
 embeddable graph is ``rank`` identical K_{a,b} blocks, each one squeezer at
 r = 1 whose n photon pairs split uniformly over the block's modes, so the
 law factorises over ``EmbeddingSpec.blocks``: ``detected_probabilities`` and
@@ -176,9 +178,16 @@ def total_photon_distribution(rank: int, pairs: int) -> float:
 
 
 def total_photon_tail(rank: int, cutoff_pairs: int) -> float:
-    """Mass of the pair-number law beyond ``cutoff_pairs``."""
-    return 1.0 - math.fsum(
-        total_photon_distribution(rank, s) for s in range(cutoff_pairs + 1))
+    """Mass of the pair-number law beyond ``cutoff_pairs`` = c: fewer than
+    ``rank`` successes, each of chance sech^2(1), in c + rank trials, so
+    sum_{k < rank} C(c + rank, k) sech^(2k)(1) tanh^(2(c + rank - k))(1)."""
+    if not 1 <= rank <= 4:
+        raise ValidationError(f"rank must be in 1..4, got {rank}")
+    if not 0 <= cutoff_pairs <= 10 ** 6:   # all mass, or 0.0 as in the law above
+        return float(cutoff_pairs < 0)
+    trials = cutoff_pairs + rank
+    return math.fsum(math.comb(trials, k) * _SECH ** (2 * k)
+                     * _TANH ** (2 * (trials - k)) for k in range(rank))
 
 
 def min_cutoff_for_mass(rank: int, mass: float = 0.99,
@@ -404,17 +413,16 @@ class ProbabilityTable:
         return len(self.probs)
 
 
-_Poly = dict[tuple[int, int, int, int], int]
-
-
-def _poly_mul_row(poly: _Poly, active: tuple[int, ...]) -> _Poly:
-    # Multiply a sparse 4-variable integer polynomial by the linear form
-    # sum over the active columns of x_j (entries are 0/1).
-    out: _Poly = {}
-    for mono, coef in poly.items():
-        for j in active:
-            key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-            out[key] = out.get(key, 0) + coef
+def _count_vectors(modes: list[int], cutoff: int) -> np.ndarray:
+    # Every 4-vector of counts on ``modes`` (ascending) with total <= cutoff,
+    # in lexicographic order: each row grows one mode at a time into one row
+    # per count its remaining budget allows, in ascending order.
+    out, room = np.zeros((1, 4), dtype=np.int64), np.array([cutoff])
+    for j in modes:
+        reps = room + 1
+        out = np.repeat(out, reps, axis=0)
+        out[:, j] = np.arange(len(out)) - np.repeat(np.cumsum(reps) - reps, reps)
+        room = np.repeat(room, reps) - out[:, j]
     return out
 
 
@@ -422,56 +430,41 @@ def build_table(spec: EmbeddingSpec,
                 cutoff_pairs: int = DEFAULT_CUTOFF_PAIRS) -> ProbabilityTable:
     """Enumerate all patterns up to ``cutoff_pairs`` photon pairs exactly.
 
-    Rather than one Ryser call per pattern, the permanents of all repeated
-    matrices sharing the same idler counts d are read off a single integer
-    polynomial: perm(M[d, s]) = (prod_j s_j!) * [x^s] prod_i (row_i . x)^d_i.
-    The expansion stays in exact integer arithmetic, so table values are
-    bit-identical under simultaneous signal/idler mode permutations; the
-    scale factor enters only at the end.
+    In perm(M[d, s]) = (prod_j s_j!) [x^s] prod_i (row_i . x)^d_i the rows of
+    a K_{a,b} block are one linear form, so by the multinomial theorem an
+    entry is (scale * N(s)) / prod_i d_i!, product first, with scale =
+    sech(1)^(2 rank) c^(2 pairs) and N(s) = prod_B (D_B!)^2 / prod_j s_j!
+    when each block's signal total equals its idler total D_B.  N(s) and
+    prod_i d_i! are exact integers, each rounded to float once, so values
+    are bit-identical under simultaneous signal/idler mode permutations.
     """
     if cutoff_pairs < 1:
         raise ValidationError(f"cutoff_pairs must be >= 1, got {cutoff_pairs}")
-    m = graphs.decode_code(spec.code)
-    active_cols = tuple(tuple(j for j in range(4) if m[i, j]) for i in range(4))
-    fact = [math.factorial(k) for k in range(cutoff_pairs + 1)]
-    prefactor = _SECH ** (2 * spec.rank)
-    c = spec.scale_c
-    entries: dict[tuple[int, ...], float] = {}
-
-    def emit(d: tuple[int, ...], poly: _Poly) -> None:
-        pairs = sum(d)
-        d_fact = 1
-        for x in d:
-            d_fact *= fact[x]
-        scale = prefactor * c ** (2 * pairs)
-        for s, coef in poly.items():
-            s_fact = 1
-            for x in s:
-                s_fact *= fact[x]
-            entries[s + d] = scale * (coef * coef * s_fact) / d_fact
-
-    def walk(i: int, budget: int, d: tuple[int, ...], poly: _Poly) -> None:
-        if i == 4:
-            emit(d, poly)
-            return
-        walk(i + 1, budget, d + (0,), poly)
-        if active_cols[i]:
-            current = poly
-            for count in range(1, budget + 1):
-                current = _poly_mul_row(current, active_cols[i])
-                walk(i + 1, budget - count, d + (count,), current)
-
-    walk(0, cutoff_pairs, (), {(0, 0, 0, 0): 1})
-    del walk    # walk's closure holds walk: keep it off the cyclic collector
-    items = sorted(entries.items())
-    patterns = np.array([p for p, _ in items], dtype=np.int64)
-    probs = np.array([v for _, v in items], dtype=float)
-    return ProbabilityTable(
-        spec=spec,
-        cutoff_pairs=cutoff_pairs,
-        patterns=patterns,
-        probs=probs,
-    )
+    sigs = [list(sig) for sig, _ in spec.blocks]
+    idls = [[i - 4 for i in idl] for _, idl in spec.blocks]
+    s = _count_vectors(sorted(sum(sigs, [])), cutoff_pairs)
+    d = _count_vectors(sorted(sum(idls, [])), cutoff_pairs)
+    weight = (cutoff_pairs + 1) ** np.arange(len(sigs))
+    s_totals = np.stack([s[:, modes].sum(axis=1) for modes in sigs], axis=1)
+    d_key = np.stack([d[:, modes].sum(axis=1) for modes in idls], axis=1) @ weight
+    # Join signal-major on equal block totals, each signal vector's idler
+    # vectors in lexicographic order: the table comes out sorted.
+    order = np.argsort(d_key, kind="stable")
+    grouped, s_key = d_key[order], s_totals @ weight
+    start = np.searchsorted(grouped, s_key, side="left")
+    count = np.searchsorted(grouped, s_key, side="right") - start
+    s_idx = np.repeat(np.arange(len(s)), count)
+    d_idx = order[np.arange(len(s_idx))
+                  + np.repeat(start - np.cumsum(count) + count, count)]
+    fact = np.array([math.factorial(k) for k in range(cutoff_pairs + 1)],
+                    dtype=object)
+    numer = (fact[s_totals] ** 2).prod(axis=1) // fact[s].prod(axis=1)
+    scale = np.array([_SECH ** (2 * spec.rank) * spec.scale_c ** (2 * pairs)
+                      for pairs in range(cutoff_pairs + 1)])
+    head = scale[s.sum(axis=1)] * numer.astype(float)
+    probs = head[s_idx] / fact[d].prod(axis=1).astype(float)[d_idx]
+    return ProbabilityTable(spec, cutoff_pairs,
+                            np.concatenate([s[s_idx], d[d_idx]], axis=1), probs)
 
 
 # ---------------------------------------------------------------------------

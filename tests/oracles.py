@@ -15,8 +15,8 @@ import pytest
 
 from gbsgraphs import engine, graphs
 from gbsgraphs.catalog import CatalogRecord
-from gbsgraphs.embedding import MEAN_PHOTON_SINGLE, Embeddability
-from gbsgraphs.errors import SampleFormatError
+from gbsgraphs.embedding import MEAN_PHOTON_SINGLE, Embeddability, enumerate_embeddable
+from gbsgraphs.errors import SampleFormatError, ValidationError
 
 N_NODES = 8
 
@@ -98,6 +98,16 @@ def blocks(code: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     parts = graphs.connected_components(graphs.adjacency_for(code))
     return [(tuple(n for n in nodes if n < 4), tuple(n for n in nodes if n >= 4))
             for nodes, sig in parts if sig.node_count > 1]
+
+
+def one_code_per_block_shape() -> list[str]:
+    """The first embeddable code of each block shape, the (signal, idler) mode
+    counts of its K_{a,b} blocks in block order: 12 shapes."""
+    shapes: dict[tuple, str] = {}
+    for code, spec in enumerate_embeddable():
+        shapes.setdefault(tuple((len(sig), len(idl)) for sig, idl in spec.blocks),
+                          code)
+    return list(shapes.values())
 
 
 def code_of_matrix(m) -> str:
@@ -218,3 +228,69 @@ def assert_ingest_matches_oracle(path):
     got = engine.ingest_samples(path).shots
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
+
+
+_Poly = dict[tuple[int, int, int, int], int]
+
+
+def _poly_mul_row(poly: _Poly, active: tuple[int, ...]) -> _Poly:
+    # Multiply a sparse 4-variable integer polynomial by the linear form
+    # sum over the active columns of x_j (entries are 0/1).
+    out: _Poly = {}
+    for mono, coef in poly.items():
+        for j in active:
+            key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+            out[key] = out.get(key, 0) + coef
+    return out
+
+
+def build_table_by_polynomial(spec, cutoff_pairs: int = engine.DEFAULT_CUTOFF_PAIRS):
+    """``engine.build_table`` as one integer polynomial expansion per idler
+    vector: perm(M[d, s]) = (prod_j s_j!) * [x^s] prod_i (row_i . x)^d_i.
+
+    The table builder ``engine`` had before it read each coefficient off the
+    multinomial theorem; it pins the bits of every entry.
+    """
+    if cutoff_pairs < 1:
+        raise ValidationError(f"cutoff_pairs must be >= 1, got {cutoff_pairs}")
+    m = graphs.decode_code(spec.code)
+    active_cols = tuple(tuple(j for j in range(4) if m[i, j]) for i in range(4))
+    fact = [math.factorial(k) for k in range(cutoff_pairs + 1)]
+    prefactor = engine._SECH ** (2 * spec.rank)
+    c = spec.scale_c
+    entries: dict[tuple[int, ...], float] = {}
+
+    def emit(d: tuple[int, ...], poly: _Poly) -> None:
+        pairs = sum(d)
+        d_fact = 1
+        for x in d:
+            d_fact *= fact[x]
+        scale = prefactor * c ** (2 * pairs)
+        for s, coef in poly.items():
+            s_fact = 1
+            for x in s:
+                s_fact *= fact[x]
+            entries[s + d] = scale * (coef * coef * s_fact) / d_fact
+
+    def walk(i: int, budget: int, d: tuple[int, ...], poly: _Poly) -> None:
+        if i == 4:
+            emit(d, poly)
+            return
+        walk(i + 1, budget, d + (0,), poly)
+        if active_cols[i]:
+            current = poly
+            for count in range(1, budget + 1):
+                current = _poly_mul_row(current, active_cols[i])
+                walk(i + 1, budget - count, d + (count,), current)
+
+    walk(0, cutoff_pairs, (), {(0, 0, 0, 0): 1})
+    del walk    # walk's closure holds walk: keep it off the cyclic collector
+    items = sorted(entries.items())
+    patterns = np.array([p for p, _ in items], dtype=np.int64)
+    probs = np.array([v for _, v in items], dtype=float)
+    return engine.ProbabilityTable(
+        spec=spec,
+        cutoff_pairs=cutoff_pairs,
+        patterns=patterns,
+        probs=probs,
+    )

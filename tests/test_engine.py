@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from gbsgraphs import embedding, engine, graphs
 from gbsgraphs.errors import SampleFormatError, ValidationError
-from oracles import (assert_ingest_matches_oracle, code_of_matrix, permanent_naive,
+from oracles import (assert_ingest_matches_oracle, build_table_by_polynomial,
+                     code_of_matrix, one_code_per_block_shape, permanent_naive,
                      sample_file_text, slice_mass, table_lookup)
 
 SECH2 = 1.0 / math.cosh(1.0) ** 2
@@ -155,10 +156,11 @@ def test_total_distribution_normalises(rank):
 
 @pytest.mark.parametrize("rank", [1, 4])
 def test_total_distribution_of_huge_pair_numbers_is_zero(rank):
-    # The closed form already underflows to 0.0 here, and its integer
-    # binomial would overflow float for the larger counts.
+    # The closed forms already underflow to 0.0 here, and their integer
+    # binomials would overflow float for the larger counts.
     for pairs in (10 ** 6, 10 ** 6 + 1, 10 ** 120, 10 ** 400):
         assert engine.total_photon_distribution(rank, pairs) == 0.0
+        assert engine.total_photon_tail(rank, pairs) == 0.0
         assert engine.detected_total_probabilities(
             rank, [2 * pairs], [1.0, 0.5]).tolist() == [[0.0], [0.0]]
 
@@ -168,11 +170,19 @@ def test_total_distribution_validates():
         engine.total_photon_distribution(0, 1)
     with pytest.raises(ValidationError):
         engine.total_photon_distribution(2, -1)
+    with pytest.raises(ValidationError):
+        engine.total_photon_tail(5, 8)
+
+
+#: Cutoffs of ranks 1-4 pinned at deeper masses than the default 0.99.
+DEEP_CUTOFFS = {1.0 - 1e-6: (25, 30, 34, 37), 1.0 - 1e-12: (50, 56, 61, 66)}
 
 
 @pytest.mark.parametrize("rank,cutoff", [(1, 8), (2, 11), (3, 14), (4, 17)])
 def test_min_cutoff_for_mass(rank, cutoff):
     assert engine.min_cutoff_for_mass(rank) == cutoff
+    for mass, cutoffs in DEEP_CUTOFFS.items():
+        assert engine.min_cutoff_for_mass(rank, mass) == cutoffs[rank - 1], mass
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +227,43 @@ def test_table_agrees_with_ryser_probabilities(specs_by_code):
         pattern = tuple(int(x) for x in table.patterns[i])
         assert table.probs[i] == pytest.approx(
             engine.pattern_probability(spec, pattern), rel=1e-12)
+    # One graph per block shape at its benchmark cutoff: 40 entries of at
+    # most 6 pairs (all 7 of 1K2), so each check is a <= 6x6 permanent.
+    for code in one_code_per_block_shape():
+        spec = specs_by_code[code]
+        table = engine.build_table(spec, engine.min_cutoff_for_mass(spec.rank))
+        small = np.flatnonzero(table.patterns[:, :4].sum(axis=1) <= 6)
+        for i in rng.choice(small, size=min(40, len(small)), replace=False):
+            assert table.probs[i] == pytest.approx(
+                engine.pattern_probability(spec, table.patterns[i]),
+                rel=1e-12), (code, table.patterns[i])
+
+
+def assert_same_table(got, want):
+    assert got.spec is want.spec
+    assert got.cutoff_pairs == want.cutoff_pairs
+    assert got.patterns.dtype == want.patterns.dtype == np.int64
+    assert np.array_equal(got.patterns, want.patterns)
+    assert got.probs.dtype == want.probs.dtype == np.float64
+    assert np.array_equal(got.probs.view(np.uint64), want.probs.view(np.uint64))
+
+
+def test_table_matches_polynomial_oracle_bit_for_bit(embeddable):
+    for code, spec in embeddable:
+        for cutoff in (1, 6):
+            assert_same_table(engine.build_table(spec, cutoff),
+                              build_table_by_polynomial(spec, cutoff))
+
+
+@pytest.mark.parametrize("code,mass",
+                         [(code, 0.99) for code in one_code_per_block_shape()]
+                         + [("1100100000", 1.0 - 1e-12)])
+def test_table_matches_polynomial_oracle_at_cutoff_for_mass(code, mass, specs_by_code):
+    # The benchmark's cutoff for each block shape, and one deep table.
+    spec = specs_by_code[code]
+    cutoff = engine.min_cutoff_for_mass(spec.rank, mass)
+    assert_same_table(engine.build_table(spec, cutoff),
+                      build_table_by_polynomial(spec, cutoff))
 
 
 def test_table_mode_permutation_covariance():

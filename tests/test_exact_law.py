@@ -174,6 +174,16 @@ def test_default_orbits_match_mpmath():
                          f"{spec.code} eta {eta}")
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_total_photon_tail_matches_mpmath(rank):
+    for cutoff in (8, 30, 60, 90, 150):
+        head = mpmath.fsum(math.comb(n + rank - 1, n) * SECH2 ** rank * TANH ** (2 * n)
+                           for n in range(cutoff + 1))
+        got = engine.total_photon_tail(rank, cutoff)
+        assert got >= 0.0
+        assert_close(got, 1 - head, f"rank {rank} cutoff {cutoff}")
+
+
 def test_underflow_bound_holds():
     pairs = engine.UNDERFLOW_PAIRS
     assert TANH ** (2 * pairs) < mpmath.mpf(2) ** -1077
