@@ -242,9 +242,11 @@ def detected_total_probabilities(rank: int, events, etas) -> np.ndarray:
         if n:
             older, old = old, (2.0 * a * (n - 1 + rank) * old
                                + b * (n - 2 + 2 * rank) * older) / n
-        out[:, columns.get(n, [])] = old[:, None]
-    out[etas == 1.0] = [total_photon_distribution(rank, k // 2) if k % 2 == 0
-                        else 0.0 for k in events]
+        if n in columns:
+            out[:, columns[n]] = old[:, None]
+    if 1.0 in etas:
+        out[etas == 1.0] = [total_photon_distribution(rank, k // 2) if k % 2 == 0
+                            else 0.0 for k in events]
     return out
 
 
@@ -252,35 +254,36 @@ def detected_total_probabilities(rank: int, events, etas) -> np.ndarray:
 # Product law of the K_{a,b} blocks
 # ---------------------------------------------------------------------------
 
-def _pair_diagonals(etas, top: int):
-    """Yield P[S, T - S] for S = 0..T, one row per eta, for T = 0..top.
+def _pair_diagonals(etas, top: int) -> np.ndarray:
+    """P[S, T - S] at buf[T, S + 1, i] for etas[i], T = 0..top, S = 0..T.
 
     P[S, D] is the chance that a block detects S signal and D idler photons
     after uniform loss eta.  With t = tanh(1) and q = 1 - eta, the block's
     generating function sech^2(1) / (1 - t^2 (q + eta u)(q + eta v)) gives
     (1 - t^2 q^2) P[S, D] = sech^2(1) [S = D = 0]
     + t^2 q eta (P[S-1, D] + P[S, D-1]) + t^2 eta^2 P[S-1, D-1]:
-    positive terms, each from the two anti-diagonals before.
+    positive terms, each from the two anti-diagonals before.  The skewed
+    (top + 1, top + 2, len(etas)) array is zero outside S = 0..T, so each
+    anti-diagonal is three in-place steps, in the order of the sum above,
+    whose padding adds exact zeros.
     """
-    old, a, b = _thinning(np.asarray(etas, dtype=float)[:, None])
-    older = np.zeros((len(old), 0))
-    yield old
+    start, a, b = _thinning(np.asarray(etas, dtype=float))
+    buf = np.zeros((top + 1, top + 2, len(start)))
+    buf[0, 1] = start
     for total in range(1, top + 1):
-        new, step = np.zeros((len(etas), total + 1)), a * old
-        new[:, :total] = step
-        new[:, 1:] += step
-        new[:, 1:total] += b * older
-        older, old = old, new
-        yield new
+        new, old = buf[total, 1:total + 2], buf[total - 1]
+        np.multiply(a, old[1:total + 2], out=new)
+        new += a * old[:total + 1]
+        if total > 1:
+            new += b * buf[total - 2, :total + 1]
+    return buf
 
 
 def pair_matrix(eta: float, size: int) -> np.ndarray:
-    """P[S, D], S, D <= size, at transmission eta (see ``_pair_diagonals``)."""
-    pair = np.zeros((size + 1, size + 1))
-    for total, diag in enumerate(_pair_diagonals([eta], 2 * size)):
-        s = np.arange(max(0, total - size), min(total, size) + 1)
-        pair[s, total - s] = diag[0, s]
-    return pair
+    """P[S, D], S, D <= size, at transmission eta: one gather from the
+    skewed array of ``_pair_diagonals``."""
+    s = np.arange(size + 1)
+    return _pair_diagonals([eta], 2 * size)[s[:, None] + s, s[:, None] + 1, 0]
 
 
 def _binomial(n, k, modes: int) -> np.ndarray:
@@ -365,26 +368,33 @@ def capped_event_probabilities(spec: EmbeddingSpec, events: list[int],
 
     The sum over the event's member patterns, grouped by block: sides that
     detect S and D photons contribute P[S, D] times the chances that both
-    splits stay within the cap.  No member is listed, so cost stays bounded.
+    splits stay within the cap.  No member is listed: the pair law fills
+    len(etas) (top + 1)^2 / 2 cells, and a call needing more than 2^28 raises
+    ValidationError.
     """
     etas = np.asarray(etas, dtype=float)
     size = min(max(events), 4 * n_max, UNDERFLOW_PAIRS - 1)     # per side
     top = min(max(events), 2 * size)                            # per block
-    rows = max(1, 2 ** 20 // (top + 1))     # etas per pass, to bound memory
-    if len(etas) > rows:
-        return np.concatenate([
-            capped_event_probabilities(spec, events, n_max, etas[i:i + rows])
-            for i in range(0, len(etas), rows)])
+    cells = len(etas) * (top + 1) ** 2 // 2
+    if cells > 2 ** 28:             # about 4 s on a 2-vCPU Xeon
+        raise ValidationError(f"capped event law needs {cells:,} cells, over 2^28; "
+                              "use a coarser --step or smaller --events")
     # The blocks are one K_{a,b} up to orientation, and P[S, D] = P[D, S],
     # so every block's law is the first one's.
     sig, idl = (len(modes) for modes in spec.blocks[0])
     caps = {m: _within_cap(m, n_max, size) for m in {sig, idl}}
     weights = np.outer(caps[sig], caps[idl])
+    spans = [np.arange(max(0, t - size), min(t, size) + 1) for t in range(top + 1)]
+    diag_weights = [(s[0] + 1, weights[s, t - s]) for t, s in enumerate(spans)]
     block = np.zeros((len(etas), top + 1))
-    for total, diag in enumerate(_pair_diagonals(etas, top)):
-        s = np.arange(max(0, total - size), min(total, size) + 1)
-        block[:, total] = np.einsum("ij,j->i", diag[:, s[0]:s[-1] + 1],
-                                    weights[s, total - s])
+    rows = max(1, 2 ** 23 // ((top + 1) * (top + 2)))   # etas per walk: 64 MB
+    for first in range(0, len(etas), rows):
+        pair = _pair_diagonals(etas[first:first + rows], top)
+        for total, (low, w) in enumerate(diag_weights):
+            # One contiguous row per eta: einsum's summation order, and so
+            # the bits, do not depend on the layout of the walk.
+            diag = np.ascontiguousarray(pair[total, low:low + len(w)].T)
+            block[first:first + rows, total] = np.einsum("ij,j->i", diag, w)
     law = block
     for _ in range(spec.rank - 1):
         law = _convolve_rows(law, block)

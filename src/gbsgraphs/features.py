@@ -10,6 +10,7 @@ thinned per photon when a loss model is given).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -89,6 +90,15 @@ def orbit_patterns(orbit) -> np.ndarray:
     out[np.arange(len(out))[:, None], np.repeat(slots, len(orders), axis=0)] = (
         np.tile(orders, (len(slots), 1)))
     return out[np.lexsort(out.T[::-1])]
+
+
+@functools.lru_cache(maxsize=8)
+def _members(orbit: OrbitId) -> np.ndarray:
+    # Read-only ``orbit_patterns`` of a validated orbit.  An orbit has at most
+    # 8! = 40,320 members (2.6 MB), so the cache holds at most about 21 MB.
+    out = orbit_patterns(orbit)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,13 +221,13 @@ def fv_orbits_analytic(spec: EmbeddingSpec, orbits: Sequence[OrbitId],
                        cutoff_pairs: int | None = None) -> FeatureVector:
     """Exact orbit probabilities: the product law summed over each orbit's
     member patterns, so tail_bound is 0.  ``cutoff_pairs`` is accepted and
-    unused."""
+    unused.  Members come from a cache of the last 8 orbits' read-only arrays."""
     eta = 1.0 if loss is None else loss.eta
     orbits = [validate_orbit(o) for o in orbits]
     # One law call over every orbit's members, summed per orbit: a pattern's
     # probability does not depend on the other rows of the call.  The empty
     # block keeps an empty orbit list valid.
-    members = [orbit_patterns(o) for o in orbits]
+    members = [_members(o) for o in orbits]
     prob = engine.detected_probabilities(
         spec, np.concatenate([np.empty((0, graphs.N_NODES), np.int64), *members]),
         eta)

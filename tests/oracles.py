@@ -294,3 +294,32 @@ def build_table_by_polynomial(spec, cutoff_pairs: int = engine.DEFAULT_CUTOFF_PA
         patterns=patterns,
         probs=probs,
     )
+
+
+def pair_diagonals(etas, top: int):
+    """Yield P[S, T - S] for S = 0..T, one row per eta, for T = 0..top.
+
+    The pair-law walk ``engine._pair_diagonals`` made before it filled one
+    skewed array: a fresh array per anti-diagonal.  It pins the bits of
+    every P[S, D].
+    """
+    old, a, b = engine._thinning(np.asarray(etas, dtype=float)[:, None])
+    older = np.zeros((len(old), 0))
+    yield old
+    for total in range(1, top + 1):
+        new, step = np.zeros((len(etas), total + 1)), a * old
+        new[:, :total] = step
+        new[:, 1:] += step
+        new[:, 1:total] += b * older
+        older, old = old, new
+        yield new
+
+
+def pair_matrix_by_diagonals(eta: float, size: int) -> np.ndarray:
+    """``engine.pair_matrix`` filled one anti-diagonal of ``pair_diagonals``
+    at a time."""
+    pair = np.zeros((size + 1, size + 1))
+    for total, diag in enumerate(pair_diagonals([eta], 2 * size)):
+        s = np.arange(max(0, total - size), min(total, size) + 1)
+        pair[s, total - s] = diag[0, s]
+    return pair

@@ -579,6 +579,23 @@ def test_deviation_rejects_empty_event_list(dev_dir, runner):
     assert "event labels" in result.output
 
 
+@pytest.mark.parametrize("args,code", [
+    (["--events", "2740", "--n-max", "1000"], 2),
+    (["--events", "1000,600", "--n-max", "300", "--step", "0.01"], 0)])
+def test_deviation_bounds_the_capped_law_cost(tmp_path, runner, args, code):
+    # 101 transmissions up to 2740 photons per block fill 379,410,590 pair-law
+    # cells, over the 2^28 bound; up to 1000 photons they fill 50,601,550.
+    run_in(tmp_path, runner, ["simulate", "1111111111", "--shots", "2000",
+                              "--seed", "3", "--out", "d.samples"])
+    result = run_in(tmp_path, runner,
+                    ["deviation", "--samples", "d.samples", *args, "--out", "dev.csv"])
+    assert result.exit_code == code, (result.output, result.exception)
+    if code:
+        assert "capped event law needs 379,410,590 cells" in result.output
+        assert "coarser --step or smaller --events" in result.output
+        assert not (tmp_path / "dev.csv").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["fv", "--samples", "d.samples", "--out", "out.csv"],
     ["fv", "--code", "1111111111", "--out", "out.csv"],

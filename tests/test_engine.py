@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from gbsgraphs import embedding, engine, graphs
 from gbsgraphs.errors import SampleFormatError, ValidationError
 from oracles import (assert_ingest_matches_oracle, build_table_by_polynomial,
-                     code_of_matrix, one_code_per_block_shape, permanent_naive,
-                     sample_file_text, slice_mass, table_lookup)
+                     code_of_matrix, one_code_per_block_shape, pair_diagonals,
+                     pair_matrix_by_diagonals, permanent_naive, sample_file_text,
+                     slice_mass, table_lookup)
 
 SECH2 = 1.0 / math.cosh(1.0) ** 2
 TANH2 = math.tanh(1.0) ** 2
@@ -383,6 +384,75 @@ def test_detected_total_matches_pair_law_series(rank):
             pytest.approx(want, rel=1e-12)), k
     assert engine.detected_total_probabilities(rank, [0], [0.0])[0, 0] == 1.0
     assert engine.detected_total_probabilities(rank, [10 ** 9], [0.5])[0, 0] == 0.0
+
+
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+_PAIR_ETAS = [0.0, 1.0, 1e-9, 0.55, *np.random.default_rng(17).random(200)]
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 9, 60])
+def test_pair_diagonals_match_generator_oracle_bit_for_bit(top):
+    # The skewed array holds each anti-diagonal at [T, 1:T + 2], zero
+    # elsewhere; each eta alone and all of them in one call.
+    for etas in [[eta] for eta in _PAIR_ETAS] + [_PAIR_ETAS]:
+        got = engine._pair_diagonals(etas, top)
+        assert got.shape == (top + 1, top + 2, len(etas))
+        for total, diag in enumerate(pair_diagonals(etas, top)):
+            assert np.array_equal(_bits(got[total, 1:total + 2].T), _bits(diag))
+            assert not got[total, 0].any() and not got[total, total + 2:].any()
+
+
+def test_pair_diagonals_match_generator_oracle_on_a_grid():
+    grid = np.linspace(0.0, 1.0, 101)
+    got = engine._pair_diagonals(grid, 60)
+    for total, diag in enumerate(pair_diagonals(grid, 60)):
+        assert np.array_equal(_bits(got[total, 1:total + 2].T), _bits(diag))
+
+
+@pytest.mark.parametrize("size", [*range(13), 60])
+def test_pair_matrix_matches_generator_oracle_bit_for_bit(size):
+    for eta in _PAIR_ETAS[:4] + [0.3, 0.9]:
+        got = engine.pair_matrix(eta, size)
+        want = pair_matrix_by_diagonals(eta, size)
+        assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_detected_totals_on_a_mixed_grid_equal_single_eta_calls(rank):
+    etas, events = [0.3, 1.0, 0.55, 1.0], [8, 2, 2, 0, 7, 10 ** 9]
+    got = engine.detected_total_probabilities(rank, events, etas)
+    for row, eta in zip(got, etas):
+        alone = engine.detected_total_probabilities(rank, events, [eta])[0]
+        assert np.array_equal(_bits(row), _bits(alone)), eta
+    exact = [engine.total_photon_distribution(rank, k // 2) if k % 2 == 0 else 0.0
+             for k in events]
+    assert np.array_equal(_bits(got[1]), _bits(exact))
+    assert np.array_equal(_bits(got[3]), _bits(exact))
+
+
+def test_capped_events_walked_in_eta_chunks_equal_single_eta_calls():
+    # Top 600 fills 601 x 602 cells per eta, so 30 etas take two walks.
+    spec = embedding.make_embedding("1111111111")
+    grid, events = np.linspace(0.0, 1.0, 30), [600, 300, 7]
+    got = engine.capped_event_probabilities(spec, events, 200, grid)
+    for i in (0, 13, 22, 29):
+        alone = engine.capped_event_probabilities(spec, events, 200, [grid[i]])
+        assert np.array_equal(_bits(got[i]), _bits(alone[0])), i
+
+
+def test_capped_events_refuse_more_than_2_to_28_cells():
+    spec = embedding.make_embedding("1111111111")
+    top = 2 * (engine.UNDERFLOW_PAIRS - 1)
+    etas = 2 ** 29 // (top + 1) ** 2 + 1
+    with pytest.raises(ValidationError,
+                       match=r"needs [\d,]+ cells, over 2\^28; use a coarser --step"):
+        engine.capped_event_probabilities(spec, [top], 1000, np.ones(etas))
+    # Each single transmission stays within the bound at any event total.
+    assert engine.capped_event_probabilities(spec, [top, 10 ** 9], 1000,
+                                             [0.5]).shape == (1, 2)
 
 
 # ---------------------------------------------------------------------------

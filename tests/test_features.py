@@ -61,6 +61,29 @@ def test_orbit_patterns_match_permutation_oracle(orbit):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def test_orbit_members_are_cached_read_only_and_orbit_patterns_stays_fresh(
+        specs_by_code):
+    spec, orbits = specs_by_code["1111111111"], [(2, 1, 1), (1, 1, 1), (2, 1, 1)]
+    want = features.fv_orbits_analytic(spec, orbits, LossModel(0.55)).values
+    assert want[0] == want[2]
+    cached = features._members((2, 1, 1))
+    assert cached is features._members((2, 1, 1))
+    assert features._members.cache_info().maxsize == 8
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] = 5
+    features._members.cache_clear()
+    fresh = features.orbit_patterns((2, 1, 1))
+    assert fresh is not features.orbit_patterns((2, 1, 1))
+    assert fresh.flags.writeable and np.array_equal(fresh, cached)
+    fresh[:] = 0
+    got = features.fv_orbits_analytic(spec, orbits, LossModel(0.55)).values
+    assert got.tobytes() == want.tobytes()
+    for bad, message in [((1, 2), "nonincreasing"), ((0,), "positive"),
+                         ((1,) * 9, "more than 8 parts")]:
+        with pytest.raises(ValidationError, match=message):
+            features.fv_orbits_analytic(spec, [(1, 1), bad])
+
+
 def test_orbit_pattern_enumeration():
     pats = features.orbit_patterns((1, 1, 1))
     assert len(pats) == math.comb(8, 3)
