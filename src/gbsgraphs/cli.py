@@ -11,7 +11,6 @@ import functools
 import json
 import math
 import time
-from collections.abc import Mapping
 from pathlib import Path
 
 import click
@@ -334,34 +333,12 @@ def _fig3(samples, code, step, csv_path, svg_path, events=None,
     return figures.write_deviation(curve, csv_path, svg_path), matches
 
 
-def _fig4(samples_by_code, labels, csv_path, clusters_path, svg_path):
+def _fig4(rows, csv_path, clusters_path, svg_path):
     """Write the orbit-space figure; return the paths and the cluster summaries."""
-    rows = figures.orbit_space_rows(samples_by_code, labels)
     summaries = figures.cluster_summaries(rows)
     paths = figures.write_orbit_space(rows, summaries, csv_path, clusters_path,
                                       svg_path)
     return paths, summaries
-
-
-class _SampleDir(Mapping):
-    """Read-only code -> SampleSet view of a directory's ``<code>.samples``
-    files, which must exist; each is ingested when read, and not kept."""
-
-    def __init__(self, directory, wanted):
-        self._paths = {c: Path(directory) / f"{c}.samples" for c in wanted}
-        missing = [c for c, path in self._paths.items() if not path.exists()]
-        if missing:
-            raise ValidationError(
-                "missing per-code sample files: " + ", ".join(sorted(missing)))
-
-    def __getitem__(self, code):
-        return ingest_samples(self._paths[code])
-
-    def __iter__(self):
-        return iter(self._paths)
-
-    def __len__(self):
-        return len(self._paths)
 
 
 @cli.command("figure")
@@ -399,13 +376,24 @@ def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
         if samples_dir is None:
             raise ValidationError(f"{name} needs --samples-dir")
         labels = {c.code: c.iso_class for c in walk_codes()}
-        samples_by_code = _SampleDir(samples_dir, _parse_codes(codes) or list(labels))
+        files = {c: Path(samples_dir) / f"{c}.samples"
+                 for c in _parse_codes(codes) or labels}
+        missing = [c for c, path in files.items() if not path.exists()]
+        if missing:
+            raise ValidationError(
+                "missing per-code sample files: " + ", ".join(sorted(missing)))
+        # Each file is read just before its row is built, and not kept.
+        ordered = figures.class_sorted_codes(files, labels)
         if name == "fig2":
-            rows = figures.event_by_class_rows(samples_by_code, event_k, labels)
+            rows = [figures.event_row(position, code, label,
+                                      ingest_samples(files[code]), event_k)
+                    for position, (code, label) in enumerate(ordered)]
             paths = figures.write_event_by_class(rows, csv_path, svg_path, event_k)
         else:
-            paths, _ = _fig4(samples_by_code, labels, csv_path,
-                             Path(f"{prefix}_clusters.csv"), svg_path)
+            rows = [figures.orbit_row(code, label, ingest_samples(files[code]))
+                    for code, label in ordered]
+            paths, _ = _fig4(rows, csv_path, Path(f"{prefix}_clusters.csv"),
+                             svg_path)
     click.echo("wrote " + ", ".join(str(p) for p in paths))
 
 
@@ -433,7 +421,9 @@ def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
     Writes catalog.json, samples/<code>.samples (+ meta), fig2, fig3 (+
     fig3_matches.json) and fig4 (+ fig4_clusters.csv) into OUTDIR, after
     checking every option.  Graph i of the catalog draws shots and loss from
-    SeedSequence(seed).spawn(75)[i].spawn(2); the figures take them in memory.
+    SeedSequence(seed).spawn(75)[i].spawn(2).  The graphs are run in class
+    order, and each one's figure rows are built as soon as its samples are
+    written, so one sample set is held at a time.
     """
     loss = LossModel(eta)
     features.loss_factor_grid(step)
@@ -445,32 +435,34 @@ def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
     catalog.write_catalog(records, outdir / "catalog.json")
     click.echo(f"catalog: {len(records)} embeddable graphs")
 
-    samples = {}
-    streams = np.random.SeedSequence(seed).spawn(len(records))
-    for code, stream in zip((rec.code for rec in records), streams):
-        if wanted and code not in wanted:
-            continue
-        sample_stream, loss_stream = stream.spawn(2)
-        samples[code] = sample(make_embedding(code), shots, sample_stream)
+    labels = {rec.code: rec.iso_class for rec in records}
+    streams = dict(zip(labels, np.random.SeedSequence(seed).spawn(len(records))))
+    fig2_rows, fig4_rows, matches = [], [], None
+    ordered = figures.class_sorted_codes(wanted or labels, labels)
+    for position, (code, label) in enumerate(ordered):
+        sample_stream, loss_stream = streams[code].spawn(2)
+        samples = sample(make_embedding(code), shots, sample_stream)
         if eta < 1.0:
-            samples[code] = apply_loss(samples[code], loss, loss_stream)
-        write_samples(samples[code], outdir / "samples" / f"{code}.samples")
-    click.echo(f"samples: {len(samples)} graphs x {shots} shots "
+            samples = apply_loss(samples, loss, loss_stream)
+        write_samples(samples, outdir / "samples" / f"{code}.samples")
+        fig2_rows.append(figures.event_row(position, code, label, samples, event_k))
+        fig4_rows.append(figures.orbit_row(code, label, samples))
+        if code == FIG3_CODE:
+            _, matches = _fig3(samples, FIG3_CODE, step,
+                               outdir / "fig3.csv", outdir / "fig3.svg")
+    click.echo(f"samples: {len(fig2_rows)} graphs x {shots} shots "
                f"at eta={eta} in {time.perf_counter() - start:.1f} s")
 
-    labels = {rec.code: rec.iso_class for rec in records}
-    rows = figures.event_by_class_rows(samples, event_k, labels)
-    figures.write_event_by_class(rows, outdir / "fig2.csv", outdir / "fig2.svg", event_k)
+    figures.write_event_by_class(fig2_rows, outdir / "fig2.csv",
+                                 outdir / "fig2.svg", event_k)
     click.echo("fig2: event values per graph")
 
-    if FIG3_CODE in samples:
-        _, matches = _fig3(samples[FIG3_CODE], FIG3_CODE, step,
-                           outdir / "fig3.csv", outdir / "fig3.svg")
+    if matches is not None:
         (outdir / "fig3_matches.json").write_text(
             json.dumps(matches, indent=2, sort_keys=True) + "\n")
         click.echo(f"fig3: matched loss factors {matches}")
 
-    _, summaries = _fig4(samples, labels, outdir / "fig4.csv",
+    _, summaries = _fig4(fig4_rows, outdir / "fig4.csv",
                          outdir / "fig4_clusters.csv", outdir / "fig4.svg")
     separated = sum(1 for s in summaries if s.separation > s.dispersion)
     click.echo(f"fig4: {separated}/{len(summaries)} classes separate from "

@@ -254,8 +254,9 @@ def detected_total_probabilities(rank: int, events, etas) -> np.ndarray:
 # Product law of the K_{a,b} blocks
 # ---------------------------------------------------------------------------
 
-def _pair_diagonals(etas, top: int) -> np.ndarray:
-    """P[S, T - S] at buf[T, S + 1, i] for etas[i], T = 0..top, S = 0..T.
+def _pair_walk(etas, top: int, depth: int):
+    """Fill P[S, T - S] into buf[T % depth, S + 1, i] for etas[i], S = 0..T,
+    and yield buf after each T = 0..top; depth >= 3, or top + 1 to keep all.
 
     P[S, D] is the chance that a block detects S signal and D idler photons
     after uniform loss eta.  With t = tanh(1) and q = 1 - eta, the block's
@@ -263,19 +264,27 @@ def _pair_diagonals(etas, top: int) -> np.ndarray:
     (1 - t^2 q^2) P[S, D] = sech^2(1) [S = D = 0]
     + t^2 q eta (P[S-1, D] + P[S, D-1]) + t^2 eta^2 P[S-1, D-1]:
     positive terms, each from the two anti-diagonals before.  The skewed
-    (top + 1, top + 2, len(etas)) array is zero outside S = 0..T, so each
+    (depth, top + 2, len(etas)) array is zero outside S = 0..T, so each
     anti-diagonal is three in-place steps, in the order of the sum above,
-    whose padding adds exact zeros.
+    whose padding adds exact zeros.  Anti-diagonal T overwrites [1, T + 2)
+    of the row that held T - depth, within [1, T - 1), so the zeros hold.
     """
     start, a, b = _thinning(np.asarray(etas, dtype=float))
-    buf = np.zeros((top + 1, top + 2, len(start)))
+    buf = np.zeros((depth, top + 2, len(start)))
     buf[0, 1] = start
+    yield buf
     for total in range(1, top + 1):
-        new, old = buf[total, 1:total + 2], buf[total - 1]
+        new, old = buf[total % depth, 1:total + 2], buf[(total - 1) % depth]
         np.multiply(a, old[1:total + 2], out=new)
         new += a * old[:total + 1]
         if total > 1:
-            new += b * buf[total - 2, :total + 1]
+            new += b * buf[(total - 2) % depth, :total + 1]
+        yield buf
+
+
+def _pair_diagonals(etas, top: int) -> np.ndarray:
+    """The whole walk of ``_pair_walk``: P[S, T - S] at buf[T, S + 1, i]."""
+    *_, buf = _pair_walk(etas, top, top + 1)
     return buf
 
 
@@ -376,7 +385,7 @@ def capped_event_probabilities(spec: EmbeddingSpec, events: list[int],
     size = min(max(events), 4 * n_max, UNDERFLOW_PAIRS - 1)     # per side
     top = min(max(events), 2 * size)                            # per block
     cells = len(etas) * (top + 1) ** 2 // 2
-    if cells > 2 ** 28:             # about 4 s on a 2-vCPU Xeon
+    if cells > 2 ** 28:     # 71 etas to total 2740 take 1.8 s on a 2-vCPU Xeon
         raise ValidationError(f"capped event law needs {cells:,} cells, over 2^28; "
                               "use a coarser --step or smaller --events")
     # The blocks are one K_{a,b} up to orientation, and P[S, D] = P[D, S],
@@ -387,14 +396,12 @@ def capped_event_probabilities(spec: EmbeddingSpec, events: list[int],
     spans = [np.arange(max(0, t - size), min(t, size) + 1) for t in range(top + 1)]
     diag_weights = [(s[0] + 1, weights[s, t - s]) for t, s in enumerate(spans)]
     block = np.zeros((len(etas), top + 1))
-    rows = max(1, 2 ** 23 // ((top + 1) * (top + 2)))   # etas per walk: 64 MB
-    for first in range(0, len(etas), rows):
-        pair = _pair_diagonals(etas[first:first + rows], top)
-        for total, (low, w) in enumerate(diag_weights):
-            # One contiguous row per eta: einsum's summation order, and so
-            # the bits, do not depend on the layout of the walk.
-            diag = np.ascontiguousarray(pair[total, low:low + len(w)].T)
-            block[first:first + rows, total] = np.einsum("ij,j->i", diag, w)
+    for total, ((low, w), pair) in enumerate(zip(diag_weights,
+                                                 _pair_walk(etas, top, 3))):
+        # One contiguous row per eta: einsum's summation order, and so the
+        # bits, do not depend on the layout of the walk.
+        diag = np.ascontiguousarray(pair[total % 3, low:low + len(w)].T)
+        block[:, total] = np.einsum("ij,j->i", diag, w)
     law = block
     for _ in range(spec.rank - 1):
         law = _convolve_rows(law, block)

@@ -61,25 +61,24 @@ def class_sorted_codes(codes, labels: dict[str, str] | None = None
 # Event value per graph, grouped by class
 # ---------------------------------------------------------------------------
 
-def event_by_class_rows(samples_by_code: dict[str, SampleSet],
-                        event_k: int = 6,
-                        labels: dict[str, str] | None = None) -> list[dict]:
-    """Sampled and lossless-analytic probability of one event, per graph,
-    at the default per-mode cap; ``labels`` as in ``class_sorted_codes``."""
-    rows = []
-    for position, (code, label) in enumerate(
-            class_sorted_codes(samples_by_code, labels)):
-        sampled = features.fv_events_from_samples(samples_by_code[code], [event_k])
-        analytic = features.fv_events_analytic(make_embedding(code), [event_k])
-        rows.append({
-            "position": position,
-            "code": code,
-            "class": label,
+def event_row(position: int, code: str, label: str, samples: SampleSet,
+              event_k: int = 6) -> dict:
+    """One graph's sampled and lossless-analytic probability of one event, at
+    the default per-mode cap."""
+    sampled = features.fv_events_from_samples(samples, [event_k])
+    analytic = features.fv_events_analytic(make_embedding(code), [event_k])
+    return {"position": position, "code": code, "class": label,
             "sampled": float(sampled.values[0]),
             "stat_error": float(sampled.stat_error[0]),
-            "analytic": float(analytic.values[0]),
-        })
-    return rows
+            "analytic": float(analytic.values[0])}
+
+
+def event_by_class_rows(samples_by_code: dict[str, SampleSet],
+                        event_k: int = 6) -> list[dict]:
+    """``event_row`` of every graph, in ``class_sorted_codes`` order."""
+    return [event_row(position, code, label, samples_by_code[code], event_k)
+            for position, (code, label)
+            in enumerate(class_sorted_codes(samples_by_code))]
 
 
 def write_event_by_class(rows: list[dict], csv_path, svg_path=None,
@@ -173,17 +172,17 @@ class ClusterSummary:
     separation: float          # distance to nearest other centroid
 
 
-def orbit_space_rows(samples_by_code: dict[str, SampleSet],
-                     labels: dict[str, str] | None = None) -> list[dict]:
-    """Per-graph coordinates: sampled probabilities of the default orbits;
-    ``labels`` as in ``class_sorted_codes``."""
-    rows = []
-    for code, label in class_sorted_codes(samples_by_code, labels):
-        fv = features.fv_orbits_from_samples(samples_by_code[code],
-                                             features.DEFAULT_ORBITS)
-        rows.append({"code": code, "class": label,
-                     "coords": tuple(float(v) for v in fv.values)})
-    return rows
+def orbit_row(code: str, label: str, samples: SampleSet) -> dict:
+    """One graph's coordinates: sampled probabilities of the default orbits."""
+    fv = features.fv_orbits_from_samples(samples, features.DEFAULT_ORBITS)
+    return {"code": code, "class": label,
+            "coords": tuple(float(v) for v in fv.values)}
+
+
+def orbit_space_rows(samples_by_code: dict[str, SampleSet]) -> list[dict]:
+    """``orbit_row`` of every graph, in ``class_sorted_codes`` order."""
+    return [orbit_row(code, label, samples_by_code[code])
+            for code, label in class_sorted_codes(samples_by_code)]
 
 
 def cluster_summaries(rows: list[dict]) -> list[ClusterSummary]:

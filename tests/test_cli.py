@@ -687,6 +687,13 @@ def test_figure_codes_skip_empty_entries_and_check_the_rest(tmp_path, runner,
     result = run_in(tmp_path, runner, args + ["--codes", "0000000100,"])
     assert result.exit_code == 0, result.output
     assert len((tmp_path / "fig2.csv").read_text().splitlines()) == 2
+    # A repeated code gives one row, in either figure.
+    for name in ("fig2", "fig4"):
+        result = run_in(tmp_path, runner,
+                        ["figure", name, "--samples-dir", str(sample_dir),
+                         "--format", "csv", "--codes", "0000000100,0000000100"])
+        assert result.exit_code == 0, result.output
+        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == 2
     result = run_in(tmp_path, runner, args + ["--codes", " 0000000100 ,x1"])
     assert result.exit_code == 2, result.output
     assert "graph code must have 10 digits, got 'x1'" in result.output

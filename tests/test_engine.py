@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,6 +413,19 @@ def test_pair_diagonals_match_generator_oracle_on_a_grid():
         assert np.array_equal(_bits(got[total, 1:total + 2].T), _bits(diag))
 
 
+@pytest.mark.parametrize("top", [0, 1, 2, 3, 9, 60])
+def test_pair_walk_in_three_rows_matches_generator_oracle_bit_for_bit(top):
+    # Each anti-diagonal overwrites the one three before it, which is
+    # shorter, so every row read back is the oracle's with zero padding.
+    walk = engine._pair_walk(_PAIR_ETAS, top, 3)
+    for total, (buf, diag) in enumerate(
+            zip(walk, pair_diagonals(_PAIR_ETAS, top), strict=True)):
+        assert buf.shape == (3, top + 2, len(_PAIR_ETAS))
+        row = buf[total % 3]
+        assert np.array_equal(_bits(row[1:total + 2].T), _bits(diag))
+        assert not row[0].any() and not row[total + 2:].any()
+
+
 @pytest.mark.parametrize("size", [*range(13), 60])
 def test_pair_matrix_matches_generator_oracle_bit_for_bit(size):
     for eta in _PAIR_ETAS[:4] + [0.3, 0.9]:
@@ -441,6 +455,20 @@ def test_capped_events_walked_in_eta_chunks_equal_single_eta_calls():
     for i in (0, 13, 22, 29):
         alone = engine.capped_event_probabilities(spec, events, 200, [grid[i]])
         assert np.array_equal(_bits(got[i]), _bits(alone[0])), i
+
+
+def test_capped_events_on_a_loss_grid_keep_few_anti_diagonals():
+    # The whole walk to total 1000 would be 101 x 1001 x 1002 cells (810 MB);
+    # three anti-diagonals at a time are 2.4 MB.
+    spec = embedding.make_embedding("1111111111")
+    tracemalloc.start()
+    try:
+        engine.capped_event_probabilities(spec, [1000, 600], 300,
+                                          np.linspace(0.0, 1.0, 101))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 def test_capped_events_refuse_more_than_2_to_28_cells():

@@ -1,10 +1,13 @@
 """The ``pipeline`` and ``overlap`` commands, in process and through the two
 argv-forwarding scripts under ``scripts/``."""
 
+import gc
+import importlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +151,31 @@ def test_pipeline_walks_the_codes_once(tmp_path, monkeypatch, count_calls):
                          "--codes", ",".join(CODES)])
         assert result.exit_code == 0, result.output
         assert (len(walks), len(classified)) == (1, 0), name
+
+
+def test_pipeline_holds_at_most_one_earlier_sample_set(tmp_path, monkeypatch):
+    # Each graph's figure rows are built right after its samples are written,
+    # so the sets of earlier graphs are dropped before the next is drawn.
+    module = importlib.import_module("gbsgraphs.cli")
+    sets, held = [], []
+
+    def kept(fn, before=lambda: None):
+        def wrapper(*args):
+            before()
+            result = fn(*args)
+            sets.append(weakref.ref(result))
+            return result
+        return wrapper
+
+    def count_held():
+        gc.collect()
+        held.append(sum(ref() is not None for ref in sets))
+    monkeypatch.setattr(module, "sample", kept(module.sample, count_held))
+    monkeypatch.setattr(module, "apply_loss", kept(module.apply_loss))
+    result = invoke(["pipeline", "--outdir", str(tmp_path), "--shots", "200",
+                     "--codes", "0000000100,1000000000,1111111111"])
+    assert result.exit_code == 0, result.output
+    assert len(held) == 3 and max(held) <= 1, held
 
 
 @pytest.mark.parametrize("args", [list(k) for k in PIPELINE_ERRORS])
