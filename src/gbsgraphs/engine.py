@@ -18,6 +18,7 @@ gives graph i of the catalog ``SeedSequence(seed).spawn(75)[i].spawn(2)``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -265,8 +266,9 @@ def _pair_walk(etas, top: int, depth: int):
     + t^2 q eta (P[S-1, D] + P[S, D-1]) + t^2 eta^2 P[S-1, D-1]:
     positive terms, each from the two anti-diagonals before.  The skewed
     (depth, top + 2, len(etas)) array is zero outside S = 0..T, so each
-    anti-diagonal is three in-place steps, in the order of the sum above,
-    whose padding adds exact zeros.  Anti-diagonal T overwrites [1, T + 2)
+    anti-diagonal is one product of the row before, shared by its two
+    neighbours, and two in-place steps, in the order of the sum above, whose
+    padding adds exact zeros.  Anti-diagonal T overwrites [1, T + 2)
     of the row that held T - depth, within [1, T - 1), so the zeros hold.
     """
     start, a, b = _thinning(np.asarray(etas, dtype=float))
@@ -274,9 +276,8 @@ def _pair_walk(etas, top: int, depth: int):
     buf[0, 1] = start
     yield buf
     for total in range(1, top + 1):
-        new, old = buf[total % depth, 1:total + 2], buf[(total - 1) % depth]
-        np.multiply(a, old[1:total + 2], out=new)
-        new += a * old[:total + 1]
+        step = a * buf[(total - 1) % depth, :total + 2]
+        new = np.add(step[1:], step[:-1], out=buf[total % depth, 1:total + 2])
         if total > 1:
             new += b * buf[(total - 2) % depth, :total + 1]
         yield buf
@@ -295,27 +296,59 @@ def pair_matrix(eta: float, size: int) -> np.ndarray:
     return _pair_diagonals([eta], 2 * size)[s[:, None] + s, s[:, None] + 1, 0]
 
 
+#: (3/4)^j for j < UNDERFLOW_PAIRS, the one power ``_binomial`` takes: its
+#: bases m / 2^c, c = (m - 1).bit_length(), are 1 for m = 1, 2, 4 and 3/4 for 3.
+_THREE_QUARTERS = 0.75 ** np.arange(UNDERFLOW_PAIRS)
+
+
 def _binomial(n, k, modes: int) -> np.ndarray:
-    # C(n, k) (modes - 1)^(n - k) / modes^n for arrays k <= n: the chance that
-    # k of n photons spread uniformly over ``modes`` modes land on a given
-    # one.  m^j is (m / 2^c)^j 2^(c j) with c = (m - 1).bit_length(), so no
-    # factor leaves the float range.
+    # C(n, k) (modes - 1)^(n - k) / modes^n for arrays k <= n < UNDERFLOW_PAIRS
+    # and 2 <= modes <= 4: the chance that k of n photons spread uniformly over
+    # ``modes`` modes land on a given one.  m^j is (m / 2^c)^j 2^(c j) with
+    # c = (m - 1).bit_length(), so no factor leaves the float range; a power
+    # of m / 2^c = 1 is 1.0 and left out.
     c, d = (modes - 2).bit_length(), (modes - 1).bit_length()
-    mant = (_FACT_MANT[n] / (_FACT_MANT[k] * _FACT_MANT[n - k])
-            * ((modes - 1) / 2 ** c) ** (n - k) / (modes / 2 ** d) ** n)
-    return np.ldexp(mant, _FACT_EXP[n] - _FACT_EXP[k] - _FACT_EXP[n - k]
-                    + c * (n - k) - d * n)
+    rest = n - k
+    mant = _FACT_MANT[n] / (_FACT_MANT[k] * _FACT_MANT[rest])
+    if modes == 4:
+        mant = mant * _THREE_QUARTERS[rest]
+    elif modes == 3:
+        mant = mant / _THREE_QUARTERS[n]
+    return np.ldexp(mant, _FACT_EXP[n] - _FACT_EXP[k] - _FACT_EXP[rest]
+                    + c * rest - d * n)
 
 
 def _split(counts: np.ndarray) -> np.ndarray:
-    # The chance that each row's total, spread uniformly over its modes, lands
-    # as that row: one binomial per mode but the last.
-    modes = counts.shape[1]
-    rest, prob = counts.sum(axis=1), np.ones(len(counts))
+    # The chance that each row's total, spread uniformly over the last axis's
+    # modes, lands as that row: one binomial per mode but the last.
+    modes = counts.shape[-1]
+    rest, prob = counts.sum(axis=-1), np.ones(counts.shape[:-1])
     for i in range(modes - 1):
-        prob *= _binomial(rest, counts[:, i], modes - i)
-        rest = rest - counts[:, i]
+        prob *= _binomial(rest, counts[..., i], modes - i)
+        rest = rest - counts[..., i]
     return prob
+
+
+@functools.lru_cache(maxsize=128)
+def _sides(blocks: tuple) -> tuple:
+    # The sides of a spec's blocks, each block's signal side then its idler
+    # side: a (8, sides) 0/1 matrix of their modes, a per-mode count limit
+    # (UNDERFLOW_PAIRS on a block's modes, 1 elsewhere), and per mode count
+    # of 2 or more, the sides' modes and numbers.  Read-only, and cached
+    # for all 75 embeddable graphs, one layout each.
+    sides = [modes for block in blocks for modes in block]
+    sums = np.zeros((graphs.N_NODES, len(sides)), dtype=np.int64)
+    limit = np.ones(graphs.N_NODES, dtype=np.int64)
+    for j, modes in enumerate(sides):
+        sums[list(modes), j] = 1
+        limit[list(modes)] = UNDERFLOW_PAIRS
+    groups = tuple(
+        (np.array([m for m in sides if len(m) == size], dtype=np.intp),
+         [j for j, m in enumerate(sides) if len(m) == size])
+        for size in sorted({len(m) for m in sides if len(m) > 1}))
+    for array in (sums, limit, *(modes for modes, _ in groups)):
+        array.flags.writeable = False
+    return sums, limit, groups
 
 
 def detected_probabilities(spec: EmbeddingSpec, patterns,
@@ -324,33 +357,39 @@ def detected_probabilities(spec: EmbeddingSpec, patterns,
 
     A block whose sides detect S and D photons contributes P[S, D] (see
     ``pair_matrix``) times the two uniform multinomial splits, which equals
-    ``pattern_probability`` thinned per mode.
+    ``pattern_probability`` thinned per mode.  The sides of one mode count
+    are split in one call, and the factors multiply side by side, then
+    block by block.
     """
     pats = np.asarray(patterns, dtype=np.int64).reshape(-1, graphs.N_NODES)
     if (pats < 0).any():
         raise ValidationError("pattern counts must be nonnegative")
-    sides = [list(modes) for block in spec.blocks for modes in block]
-    totals = np.array([pats[:, modes].sum(axis=1) for modes in sides])
+    sums, limit, groups = _sides(tuple(spec.blocks))
+    totals = pats @ sums
     # A count or side total of UNDERFLOW_PAIRS or more has probability 0.0,
     # and a photon outside every block never occurs.  Testing the counts first
     # also keeps a side total that wrapped round int64 out.
-    live = ((pats < UNDERFLOW_PAIRS).all(axis=1)
-            & (totals < UNDERFLOW_PAIRS).all(axis=0)
-            & ~np.delete(pats, sum(sides, []), axis=1).any(axis=1))
-    pats, totals = np.where(live[:, None], pats, 0), np.where(live, totals, 0)
+    live = (pats < limit).all(axis=1) & (totals < UNDERFLOW_PAIRS).all(axis=1)
+    pats, totals = np.where(live[:, None], pats, 0), np.where(live[:, None], totals, 0)
     pair = pair_matrix(eta, int(totals.max(initial=0)))
+    # A side of one mode splits with chance 1.0, which leaves prob unchanged.
+    splits = {}
+    for modes, numbers in groups:
+        splits.update(zip(numbers, _split(pats[:, modes]).T))
     prob = live.astype(float)
-    for modes in sides:
-        prob *= _split(pats[:, modes])
-    for signal, idler in zip(totals[::2], totals[1::2]):
-        prob *= pair[signal, idler]
+    for side in sorted(splits):
+        prob *= splits[side]
+    for factor in pair[totals[:, 0::2], totals[:, 1::2]].T:
+        prob *= factor
     return prob
 
 
+@functools.lru_cache(maxsize=32)
 def _within_cap(modes: int, n_max: int, size: int) -> np.ndarray:
     # c[S], S <= size: chance that S photons spread uniformly over ``modes``
     # modes put none above n_max.  Mode by mode: the first takes j of the S
     # photons with chance Bin(j; S, 1/modes), the others split the rest.
+    # Cached read-only: sides of 1 to 4 modes serve every graph.
     top = min(n_max, size)
     side = np.arange(size + 1)[:, None]
     taken = np.arange(top + 1)
@@ -360,6 +399,7 @@ def _within_cap(modes: int, n_max: int, size: int) -> np.ndarray:
     for m in range(2, modes + 1):
         cap = (np.where(ok, _binomial(side, taken, m), 0.0)
                * cap[side - taken]).sum(axis=1)
+    cap.flags.writeable = False
     return cap
 
 
@@ -390,18 +430,18 @@ def capped_event_probabilities(spec: EmbeddingSpec, events: list[int],
                               "use a coarser --step or smaller --events")
     # The blocks are one K_{a,b} up to orientation, and P[S, D] = P[D, S],
     # so every block's law is the first one's.
-    sig, idl = (len(modes) for modes in spec.blocks[0])
-    caps = {m: _within_cap(m, n_max, size) for m in {sig, idl}}
-    weights = np.outer(caps[sig], caps[idl])
-    spans = [np.arange(max(0, t - size), min(t, size) + 1) for t in range(top + 1)]
-    diag_weights = [(s[0] + 1, weights[s, t - s]) for t, s in enumerate(spans)]
+    sig, idl = (_within_cap(len(modes), n_max, size) for modes in spec.blocks[0])
+    # weights[T, S] = sig[S] idl[T - S], the cap weight of S signal and T - S
+    # idler photons, for the S of anti-diagonal T within both sides' sizes.
+    s = np.arange(size + 1)
+    weights = sig * idl[np.clip(np.arange(top + 1)[:, None] - s, 0, size)]
     block = np.zeros((len(etas), top + 1))
-    for total, ((low, w), pair) in enumerate(zip(diag_weights,
-                                                 _pair_walk(etas, top, 3))):
+    for total, pair in enumerate(_pair_walk(etas, top, 3)):
+        low, high = max(0, total - size), min(total, size) + 1
         # One contiguous row per eta: einsum's summation order, and so the
         # bits, do not depend on the layout of the walk.
-        diag = np.ascontiguousarray(pair[total % 3, low:low + len(w)].T)
-        block[:, total] = np.einsum("ij,j->i", diag, w)
+        diag = np.ascontiguousarray(pair[total % 3, low + 1:high + 1].T)
+        block[:, total] = np.einsum("ij,j->i", diag, weights[total, low:high])
     law = block
     for _ in range(spec.rank - 1):
         law = _convolve_rows(law, block)

@@ -308,8 +308,10 @@ def match_loss(sampled: FeatureVector, spec: EmbeddingSpec,
                cutoff_pairs: int | None = None) -> float | None:
     """Loss factor where one component's deviation changes sign.
 
-    Evaluates the component on ``loss_factor_grid(step)`` in one call, then
-    hands over to ``match_on_grid``.  ``cutoff_pairs`` is accepted and unused.
+    Evaluates the component on ``loss_factor_grid(step)`` in one law call,
+    then hands over to ``match_on_grid``, whose bisection takes one more
+    call per 7 halvings for an open cap and one per halving for a binding
+    cap.  ``cutoff_pairs`` is accepted and unused.
     """
     _require_sampled_events(sampled)
     if not 0 <= component_index < len(sampled.labels):
@@ -320,6 +322,27 @@ def match_loss(sampled: FeatureVector, spec: EmbeddingSpec,
     return match_on_grid(sampled, spec, component_index, grid, theory)
 
 
+#: Halvings whose midpoints one open-cap law call of ``match_on_grid``
+#: evaluates: up to 2^7 - 1 = 127 transmissions.
+_HALVINGS_PER_CALL = 7
+
+
+def _halving_points(lo: float, hi: float, halvings: int) -> np.ndarray:
+    # Every midpoint that bisecting [lo, hi] down to MATCH_TOL can visit in
+    # its next ``halvings`` halvings: each level halves every interval still
+    # wider than MATCH_TOL, with the float arithmetic of the bisection.
+    los, his, points = np.array([lo]), np.array([hi]), []
+    for _ in range(halvings):
+        wide = his - los > MATCH_TOL
+        los, his = los[wide], his[wide]
+        if not len(los):
+            break
+        mids = 0.5 * (los + his)
+        points.append(mids)
+        los, his = np.concatenate([los, mids]), np.concatenate([mids, his])
+    return np.concatenate(points)
+
+
 def match_on_grid(sampled: FeatureVector, spec: EmbeddingSpec,
                   component_index: int, loss_factors: np.ndarray,
                   theory: np.ndarray) -> float | None:
@@ -327,15 +350,17 @@ def match_on_grid(sampled: FeatureVector, spec: EmbeddingSpec,
 
     ``theory`` holds the component's analytic values at the increasing
     ``loss_factors``.  The first sign change on that grid brackets the
-    match, and bisection narrows it to MATCH_TOL.  Returns None when the
+    match, and bisection narrows it to MATCH_TOL.  For an open cap
+    (n_max >= k) one call of the total-count law evaluates every midpoint
+    the next 7 halvings can visit, and the bisection reads its values from
+    there; a binding cap, whose law costs grow with the number of
+    transmissions, takes one call per halving.  Either way the result is
+    the one a call per halving gives, bit for bit.  Returns None when the
     grid shows no sign change.
     """
     label = sampled.labels[component_index]
     target = float(sampled.values[component_index])
-
-    def residual(loss_factor: float) -> float:
-        return target - float(_event_law(spec, [label.k], label.n_max,
-                                         [1.0 - loss_factor])[0, 0])
+    halvings = _HALVINGS_PER_CALL if label.k <= label.n_max else 1
 
     grid = np.asarray(loss_factors, dtype=float).tolist()
     res = (target - np.asarray(theory, dtype=float)).tolist()
@@ -349,9 +374,14 @@ def match_on_grid(sampled: FeatureVector, spec: EmbeddingSpec,
     if bracket is None:
         return grid[-1] if res[-1] == 0.0 else None
     lo, hi, rlo = bracket
+    known: dict[float, float] = {}
     while hi - lo > MATCH_TOL:
         mid = 0.5 * (lo + hi)
-        rmid = residual(mid)
+        if mid not in known:
+            points = _halving_points(lo, hi, halvings)
+            law = _event_law(spec, [label.k], label.n_max, 1.0 - points)[:, 0]
+            known = dict(zip(points.tolist(), (target - law).tolist()))
+        rmid = known[mid]
         if rmid == 0.0:
             return mid
         if rlo * rmid < 0.0:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbsgraphs import engine, graphs
+from gbsgraphs import engine, features, graphs
 from gbsgraphs.catalog import CatalogRecord
 from gbsgraphs.embedding import MEAN_PHOTON_SINGLE, Embeddability, enumerate_embeddable
 from gbsgraphs.errors import SampleFormatError, ValidationError
@@ -323,3 +323,81 @@ def pair_matrix_by_diagonals(eta: float, size: int) -> np.ndarray:
         s = np.arange(max(0, total - size), min(total, size) + 1)
         pair[s, total - s] = diag[0, s]
     return pair
+
+
+def binomial_by_power(n, k, modes: int) -> np.ndarray:
+    """``engine._binomial`` with its powers of (modes - 1) / 2^c and
+    modes / 2^d taken by ``**``: the form it had before it read (3/4)^j
+    from a table."""
+    c, d = (modes - 2).bit_length(), (modes - 1).bit_length()
+    mant = (engine._FACT_MANT[n] / (engine._FACT_MANT[k] * engine._FACT_MANT[n - k])
+            * ((modes - 1) / 2 ** c) ** (n - k) / (modes / 2 ** d) ** n)
+    return np.ldexp(mant, engine._FACT_EXP[n] - engine._FACT_EXP[k]
+                    - engine._FACT_EXP[n - k] + c * (n - k) - d * n)
+
+
+def _split_by_power(counts: np.ndarray) -> np.ndarray:
+    modes = counts.shape[1]
+    rest, prob = counts.sum(axis=1), np.ones(len(counts))
+    for i in range(modes - 1):
+        prob *= binomial_by_power(rest, counts[:, i], modes - i)
+        rest = rest - counts[:, i]
+    return prob
+
+
+def detected_probabilities_per_side(spec, patterns, eta: float = 1.0) -> np.ndarray:
+    """``engine.detected_probabilities`` one block side at a time: the law
+    as it was before it read a cached side layout and split all sides of
+    one mode count in one call, with the ``**`` binomial and the pair matrix
+    of ``pair_matrix_by_diagonals``."""
+    pats = np.asarray(patterns, dtype=np.int64).reshape(-1, graphs.N_NODES)
+    if (pats < 0).any():
+        raise ValidationError("pattern counts must be nonnegative")
+    sides = [list(modes) for block in spec.blocks for modes in block]
+    totals = np.array([pats[:, modes].sum(axis=1) for modes in sides])
+    live = ((pats < engine.UNDERFLOW_PAIRS).all(axis=1)
+            & (totals < engine.UNDERFLOW_PAIRS).all(axis=0)
+            & ~np.delete(pats, sum(sides, []), axis=1).any(axis=1))
+    pats, totals = np.where(live[:, None], pats, 0), np.where(live, totals, 0)
+    pair = pair_matrix_by_diagonals(eta, int(totals.max(initial=0)))
+    prob = live.astype(float)
+    for modes in sides:
+        prob *= _split_by_power(pats[:, modes])
+    for signal, idler in zip(totals[::2], totals[1::2]):
+        prob *= pair[signal, idler]
+    return prob
+
+
+def match_on_grid_per_halving(sampled, spec, component_index, loss_factors,
+                              theory):
+    """``features.match_on_grid`` with one law call per halving: the
+    bisection as it was before an open cap's midpoints came in batches."""
+    label = sampled.labels[component_index]
+    target = float(sampled.values[component_index])
+
+    def residual(loss_factor: float) -> float:
+        return target - float(features._event_law(spec, [label.k], label.n_max,
+                                                  [1.0 - loss_factor])[0, 0])
+
+    grid = np.asarray(loss_factors, dtype=float).tolist()
+    res = (target - np.asarray(theory, dtype=float)).tolist()
+    bracket = None
+    for a, b, ra, rb in zip(grid, grid[1:], res, res[1:]):
+        if ra == 0.0:
+            return a
+        if ra * rb < 0.0:
+            bracket = (a, b, ra)
+            break
+    if bracket is None:
+        return grid[-1] if res[-1] == 0.0 else None
+    lo, hi, rlo = bracket
+    while hi - lo > features.MATCH_TOL:
+        mid = 0.5 * (lo + hi)
+        rmid = residual(mid)
+        if rmid == 0.0:
+            return mid
+        if rlo * rmid < 0.0:
+            hi = mid
+        else:
+            lo, rlo = mid, rmid
+    return 0.5 * (lo + hi)

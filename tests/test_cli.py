@@ -596,6 +596,24 @@ def test_deviation_bounds_the_capped_law_cost(tmp_path, runner, args, code):
         assert not (tmp_path / "dev.csv").exists()
 
 
+@pytest.mark.parametrize("events,n_max,sizes", [
+    ("1000,600", "300", [101]),          # both match on the grid
+    ("2,4", "1", [101] + [1] * 2 * 7)])  # 7 halvings of 0.01 each
+def test_deviation_bisects_a_binding_cap_one_transmission_at_a_time(
+        tmp_path, runner, count_calls, events, n_max, sizes):
+    # The capped law's cost grows with its transmissions, so after the
+    # 101-point grid each halving asks for one.
+    run_in(tmp_path, runner, ["simulate", "1111111111", "--shots", "2000",
+                              "--seed", "3", "--loss", "0.55", "--out", "d.samples"])
+    capped = count_calls(engine, "capped_event_probabilities")
+    totals = count_calls(engine, "detected_total_probabilities")
+    result = run_in(tmp_path, runner,
+                    ["deviation", "--samples", "d.samples", "--events", events,
+                     "--n-max", n_max, "--step", "0.01", "--out", "dev.csv"])
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert [len(args[-1]) for args in capped] == sizes and not totals
+
+
 @pytest.mark.parametrize("command", [
     ["fv", "--samples", "d.samples", "--out", "out.csv"],
     ["fv", "--code", "1111111111", "--out", "out.csv"],

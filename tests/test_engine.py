@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from gbsgraphs import embedding, engine, graphs
 from gbsgraphs.errors import SampleFormatError, ValidationError
-from oracles import (assert_ingest_matches_oracle, build_table_by_polynomial,
-                     code_of_matrix, one_code_per_block_shape, pair_diagonals,
-                     pair_matrix_by_diagonals, permanent_naive, sample_file_text,
-                     slice_mass, table_lookup)
+from oracles import (assert_ingest_matches_oracle, binomial_by_power,
+                     build_table_by_polynomial, code_of_matrix,
+                     detected_probabilities_per_side, one_code_per_block_shape,
+                     orbit_patterns, pair_diagonals, pair_matrix_by_diagonals,
+                     permanent_naive, sample_file_text, slice_mass, table_lookup)
 
 SECH2 = 1.0 / math.cosh(1.0) ** 2
 TANH2 = math.tanh(1.0) ** 2
@@ -391,6 +392,49 @@ def _bits(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=float).view(np.uint64)
 
 
+@pytest.mark.parametrize("modes", [2, 3, 4])
+def test_binomial_matches_power_oracle_bit_for_bit(modes):
+    # Every k <= n < UNDERFLOW_PAIRS, about 940,000 pairs per mode count.
+    n, k = np.tril_indices(engine.UNDERFLOW_PAIRS)
+    got = engine._binomial(n, k, modes)
+    assert np.array_equal(_bits(got), _bits(binomial_by_power(n, k, modes)))
+    assert got.max() <= 1.0 and (got > 0.0).any()
+
+
+#: Patterns no orbit of small counts reaches: a stray photon, deep counts,
+#: counts of UNDERFLOW_PAIRS and more, and side totals that wrap int64 (four
+#: counts of 2^62 sum to 2^64, which wraps to 0).
+_EDGE_PATTERNS = np.array([
+    (1, 0, 1, 0, 0, 0, 1, 0), (0, 0, 1, 0, 1, 0, 0, 0), (0,) * 8,
+    (60, 0, 0, 0, 60, 0, 0, 0), (30, 0, 30, 0, 0, 20, 20, 20),
+    (engine.UNDERFLOW_PAIRS, 0, 0, 0, engine.UNDERFLOW_PAIRS, 0, 0, 0),
+    (0, 0, 10 ** 6, 0, 0, 0, 10 ** 6, 0),
+    (2 ** 62, 2 ** 62, 2 ** 62, 2 ** 62, 0, 0, 0, 0),
+    (2 ** 62, 2 ** 62, 2 ** 62, 2 ** 62, 2 ** 62, 2 ** 62, 2 ** 62, 2 ** 62),
+    (0, 2 ** 63 - 1, 0, 0, 0, 0, 2 ** 63 - 1, 0)], dtype=np.int64)
+
+
+@pytest.fixture(scope="module")
+def law_pattern_sets():
+    """The members of eight orbits, 300 seeded random patterns with counts
+    up to 5, and the edge patterns."""
+    orbits = [(1, 1, 1), (1, 1, 1, 1), (2, 1, 1), (2,), (1, 1), (3, 2, 1),
+              (2, 2, 1, 1), (1,) * 8]
+    random = np.random.default_rng(19).integers(0, 6, size=(300, 8))
+    return [orbit_patterns(o) for o in orbits] + [random, _EDGE_PATTERNS]
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.05, 0.55, 1.0])
+def test_detected_probabilities_match_per_side_oracle_bit_for_bit(
+        embeddable, law_pattern_sets, eta):
+    # All 75 graphs, each pattern set in one call.
+    for code, spec in embeddable:
+        for pats in law_pattern_sets:
+            got = engine.detected_probabilities(spec, pats, eta)
+            want = detected_probabilities_per_side(spec, pats, eta)
+            assert np.array_equal(_bits(got), _bits(want)), (code, pats[0])
+
+
 _PAIR_ETAS = [0.0, 1.0, 1e-9, 0.55, *np.random.default_rng(17).random(200)]
 
 
@@ -448,13 +492,38 @@ def test_detected_totals_on_a_mixed_grid_equal_single_eta_calls(rank):
 
 
 def test_capped_events_walked_in_eta_chunks_equal_single_eta_calls():
-    # Top 600 fills 601 x 602 cells per eta, so 30 etas take two walks.
+    # One call over 30 transmissions equals, bit for bit, one call per
+    # transmission.
     spec = embedding.make_embedding("1111111111")
     grid, events = np.linspace(0.0, 1.0, 30), [600, 300, 7]
     got = engine.capped_event_probabilities(spec, events, 200, grid)
     for i in (0, 13, 22, 29):
         alone = engine.capped_event_probabilities(spec, events, 200, [grid[i]])
         assert np.array_equal(_bits(got[i]), _bits(alone[0])), i
+
+
+def test_law_caches_are_bounded_and_read_only(specs_by_code):
+    # The cap vectors and side layouts are shared by every later call, so no
+    # caller may write them; a cleared cache gives the same values.
+    spec = specs_by_code["1111111111"]
+    want = engine.capped_event_probabilities(spec, [2, 4, 6, 8], 1, [0.55])
+    pats = np.array([(1, 1, 0, 0, 1, 1, 0, 0), (2, 0, 0, 0, 0, 1, 1, 0)])
+    lossy = engine.detected_probabilities(spec, pats, 0.55)
+    assert engine._within_cap.cache_info().maxsize == 32
+    assert engine._sides.cache_info().maxsize == 128
+    cap = engine._within_cap(4, 1, 4)
+    assert cap is engine._within_cap(4, 1, 4)
+    sums, limit, groups = engine._sides(tuple(spec.blocks))
+    for array in (cap, sums, limit, *(modes for modes, _ in groups)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5
+    engine._within_cap.cache_clear()
+    engine._sides.cache_clear()
+    assert np.array_equal(
+        _bits(engine.capped_event_probabilities(spec, [2, 4, 6, 8], 1, [0.55])),
+        _bits(want))
+    assert np.array_equal(_bits(engine.detected_probabilities(spec, pats, 0.55)),
+                          _bits(lossy))
 
 
 def test_capped_events_on_a_loss_grid_keep_few_anti_diagonals():

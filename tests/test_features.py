@@ -10,6 +10,7 @@ from gbsgraphs import embedding, engine, features, figures
 from gbsgraphs.cli import CLASS_REPRESENTATIVES
 from gbsgraphs.engine import LossModel, SampleMeta, SampleSet
 from gbsgraphs.errors import ValidationError
+from oracles import match_on_grid_per_halving
 from oracles import orbit_patterns as orbit_patterns_oracle
 from oracles import slice_mass
 
@@ -420,8 +421,10 @@ def test_match_loss_zero_for_lossless_selfmatch(specs_by_code):
 
 @pytest.mark.parametrize("n_max", [8, 1])
 def test_deviation_rows_evaluate_the_grid_once(specs_by_code, monkeypatch, n_max):
-    # One law call for the whole grid, then one per bisection step; the
-    # matches equal match_loss's own.
+    # One law call for the whole grid, then, for each component that
+    # bisects, one open-cap call of the 127 midpoints that 7 halvings of 0.01
+    # can visit, or one binding-cap call per halving; the odd total 3 never
+    # changes sign.  The matches equal match_loss's own.
     spec = specs_by_code["1111111111"]
     samples = engine.apply_loss(engine.sample(spec, 3000, seed=40),
                                 LossModel(0.55), seed=41)
@@ -436,9 +439,36 @@ def test_deviation_rows_evaluate_the_grid_once(specs_by_code, monkeypatch, n_max
         monkeypatch.setattr(engine, name, counted)
     curve, matches = figures.deviation_rows(samples, spec, events, n_max, step=0.01)
     assert curve.deviations.shape == (101, 4)
-    assert [n for n in calls if n > 1] == [101]
+    assert calls == ([101, 127, 127, 127] if n_max == 8 else [101] + [1] * 3 * 7)
     assert len(calls) - 1 <= 4 * 7      # bisection halves 0.01 to MATCH_TOL
     assert list(matches.values()) == alone
+
+
+@pytest.mark.parametrize("step,batches,halvings", [
+    (0.01, [127], 7), (0.05, [127, 3], 9), (1.0, [127, 127], 14)])
+def test_matches_equal_the_one_call_per_halving_oracle(
+        specs_by_code, count_calls, step, batches, halvings):
+    # An open cap (n_max 8) evaluates its midpoints in batches of up to 7
+    # halvings: 0.05 takes 9 halvings, 127 + 3 midpoints, and 1 takes 14, so
+    # two full batches.  A binding cap (n_max 1) takes one call per halving.
+    # Both match the oracle's bisection bit for bit.
+    spec = specs_by_code["1111111111"]
+    samples = engine.apply_loss(engine.sample(spec, 3000, seed=40),
+                                LossModel(0.55), seed=41)
+    events, grid = [2, 3, 4, 6], features.loss_factor_grid(step)
+    for n_max, law in ((8, "detected_total_probabilities"),
+                       (1, "capped_event_probabilities")):
+        sampled = features.fv_events_from_samples(samples, events, n_max)
+        theory = features._event_law(spec, events, n_max, 1.0 - grid)
+        want = [match_on_grid_per_halving(sampled, spec, i, grid, theory[:, i])
+                for i in range(4)]
+        assert [m is None for m in want] == [False, True, False, False]
+        calls = count_calls(engine, law)
+        _, matches = figures.deviation_rows(samples, spec, events, n_max, step)
+        sizes = [len(args[-1]) for args in calls]
+        assert sizes == [len(grid)] + 3 * (batches if n_max == 8 else [1] * halvings)
+        assert list(matches.values()) == want, n_max
+        assert [features.match_loss(sampled, spec, i, step) for i in range(4)] == want
 
 
 def test_match_loss_recovers_thinning_level(specs_by_code):
