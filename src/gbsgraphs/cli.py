@@ -207,15 +207,16 @@ def cmd_simulate(code, shots, seed, eta, threshold, out):
 def cmd_ingest(path, out):
     """Validate a sample file and report its summary statistics."""
     samples = ingest_samples(path)
-    shots = samples.shots
-    totals = shots.sum(axis=1)
-    observed, counts = np.unique(totals, return_counts=True)
+    rows, counts = samples.histogram
+    observed, inverse = np.unique(rows.sum(axis=1, dtype=np.int64), return_inverse=True)
+    per_total = np.zeros(len(observed), dtype=np.int64)
+    np.add.at(per_total, inverse, counts)
     events = features.fv_events_from_samples(samples, observed.tolist())
     # Counts are nonnegative, so int64 column sums wrap only past this bound.
-    if shots.max() <= (2 ** 63 - 1) // len(shots):
-        mode_totals = shots.sum(axis=0).tolist()
+    if int(rows.max()) <= (2 ** 63 - 1) // len(samples):
+        mode_totals = (counts @ rows).tolist()
     else:
-        mode_totals = [int(x) for x in shots.sum(axis=0, dtype=object)]
+        mode_totals = [int(x) for x in counts.astype(object) @ rows.astype(object)]
     report = {
         "path": str(path),
         "shots": len(samples),
@@ -223,8 +224,8 @@ def cmd_ingest(path, out):
         "threshold": samples.meta.threshold,
         "loss": samples.meta.loss,
         "mode_totals": mode_totals,
-        "total_histogram": {str(k): int(c) for k, c in zip(observed, counts)},
-        "odd_total_fraction": float((totals % 2 == 1).mean()),
+        "total_histogram": {str(k): int(c) for k, c in zip(observed, per_total)},
+        "odd_total_fraction": int(per_total[observed % 2 == 1].sum()) / len(samples),
         "event_frequencies": {str(e.k): float(v)
                               for e, v in zip(events.labels, events.values)},
     }

@@ -19,6 +19,7 @@ gives graph i of the catalog ``SeedSequence(seed).spawn(75)[i].spawn(2)``.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
@@ -403,11 +404,15 @@ def _within_cap(modes: int, n_max: int, size: int) -> np.ndarray:
     return cap
 
 
-def _convolve_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _convolve_rows(x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
+    # The first ``width`` columns of each row's convolution, from the first
+    # ``width`` columns of x.  Column c sums y[j] x[c - j] over j ascending
+    # whatever the widths, so it keeps its bits.
+    x = x[:, :width]
     out = np.zeros((len(x), x.shape[1] + y.shape[1] - 1))
     for j in range(y.shape[1]):
         out[:, j:j + x.shape[1]] += y[:, j:j + 1] * x
-    return out
+    return out[:, :width]
 
 
 def capped_event_probabilities(spec: EmbeddingSpec, events: list[int],
@@ -444,7 +449,7 @@ def capped_event_probabilities(spec: EmbeddingSpec, events: list[int],
         block[:, total] = np.einsum("ij,j->i", diag, weights[total, low:high])
     law = block
     for _ in range(spec.rank - 1):
-        law = _convolve_rows(law, block)
+        law = _convolve_rows(law, block, max(events) + 1)
     out = np.zeros((len(etas), len(events)))
     for i, k in enumerate(events):
         if k < law.shape[1]:
@@ -552,6 +557,30 @@ class SampleMeta:
     threshold: bool = False
 
 
+def _unique_rows(rows: np.ndarray, return_inverse: bool = False) -> tuple:
+    """``np.unique(rows, axis=0, return_inverse=..., return_counts=True)``,
+    the distinct rows as uint8 when every count lies in [0, 256).
+
+    Such rows are keyed as one uint64 each, column 0 most significant, so
+    the keys sort as the rows do.
+    """
+    if rows.size and 0 <= rows.min() and rows.max() < 256:
+        keys = rows[:, ::-1].astype(np.uint8, order="C").view("<u8").ravel()
+        if return_inverse:
+            keys, *rest = np.unique(keys, return_inverse=True, return_counts=True)
+        else:
+            # Sorted in place, where np.unique would sort a copy of the keys.
+            keys.sort()
+            starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
+            rest = [np.diff(starts, append=len(keys))]
+            keys = keys[starts]
+        distinct = keys.view(np.uint8).reshape(-1, rows.shape[1])[:, ::-1].copy()
+    else:
+        distinct, *rest = np.unique(rows, axis=0, return_inverse=return_inverse,
+                                    return_counts=True)
+    return distinct, *rest
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """An ordered collection of detected patterns plus provenance."""
@@ -561,6 +590,24 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.shots)
+
+    @functools.cached_property
+    def histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct shots in ascending lexicographic order and how many
+        shots equal each, as ``np.unique(shots, axis=0, return_counts=True)``
+        gives them: read-only, with uint8 rows when every count lies in
+        [0, 256).  Computed on first use unless ``write_samples`` supplied
+        it, so the shots must not change after."""
+        return _supply_histogram(self, *_unique_rows(self.shots))
+
+
+def _supply_histogram(samples: SampleSet, distinct: np.ndarray,
+                      counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Fill the cache of ``samples.histogram`` (a frozen dataclass) with the
+    # two arrays, made read-only, and return them.
+    distinct.flags.writeable = counts.flags.writeable = False
+    object.__setattr__(samples, "histogram", (distinct, counts))
+    return distinct, counts
 
 
 def sample(spec: EmbeddingSpec, shots: int,
@@ -626,16 +673,12 @@ def write_samples(samples: SampleSet, path) -> tuple[Path, Path]:
     """Write one JSON-array shot per line, plus the companion meta file.
 
     Each distinct row is formatted once, and the shots' lines are joined by
-    its index.  Rows of counts below 256 are keyed as one uint64 each.
+    its index.  The distinct rows and their counts fill the cache of
+    ``samples.histogram``.
     """
     path = Path(path)
-    shots = samples.shots
-    if shots.size and 0 <= shots.min() and shots.max() < 256:
-        keys = shots.astype(np.uint8, order="C").view(np.uint64).ravel()
-        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-        distinct = shots[first]
-    else:
-        distinct, index = np.unique(shots, axis=0, return_inverse=True)
+    distinct, index, counts = _unique_rows(samples.shots, return_inverse=True)
+    _supply_histogram(samples, distinct, counts)
     row = "[" + ",".join(["%d"] * graphs.N_NODES) + "]\n"
     lines = ((row * len(distinct)) % tuple(distinct.ravel().tolist())).splitlines(True)
     text = "".join(np.array(lines, dtype=object)[index.ravel()].tolist())
@@ -716,9 +759,10 @@ def _parse_line(path: Path, lineno: int, raw: bytes) -> list[int] | None:
     return value
 
 
-#: Lines ``ingest_samples`` reads without the JSON parser: a shot of counts
-#: of at most 18 digits with JSON spaces and tabs, whose only digits are its
-#: counts; and an ASCII ``#`` comment or a blank line.
+#: Lines ``ingest_samples`` reads without the JSON parser when their chunk is
+#: not all in the writer's form: a shot of counts of at most 18 digits with
+#: JSON spaces and tabs, whose only digits are its counts; and an ASCII ``#``
+#: comment or a blank line.
 _COUNT = rb"[ \t]*(?:0|[1-9][0-9]{0,17})[ \t]*"
 _SHOT_LINE = re.compile(
     rb"[ \t]*\[" + rb",".join([_COUNT] * graphs.N_NODES) + rb"\][ \t\r]*\n")
@@ -726,6 +770,37 @@ _SKIP_LINE = re.compile(rb"[ \t]*#[\x00-\x7f]*\n|[ \t\r]*\n")
 
 #: Maps every byte but an ASCII digit to a space.
 _DIGITS_ONLY = bytes(b if b in b"0123456789" else 32 for b in range(256))
+
+#: Size hint, in bytes, of the whole lines ``ingest_samples`` reads at a time.
+_CHUNK_BYTES = 1 << 16
+
+#: A line is in the writer's form, ``[c0,...,c7]\n`` with each count its own
+#: ``%d`` rendering below 10^18, when without its digits it is
+#: ``_WRITER_SKELETON`` and its counts are neither empty, nor led by a zero
+#: and more digits, nor 19 digits or more, and no digit stands before ``[``
+#: or after ``]``.  Two byte maps show these faults as a few substrings:
+#: ``_OPENERS`` reads ``[`` and ``,`` as ``a`` and 1-9 as 1, so a leading zero
+#: is ``a00`` or ``a01``; ``_SEPARATORS`` reads ``[``, ``,`` and ``]`` as
+#: ``a``, the newline as ``z`` and every digit as 1, so an empty count is
+#: ``aa``, a digit before ``[`` is ``z1`` (or a first byte of 1), one after
+#: ``]`` is ``1z``, and a long count is nineteen 1s.
+_WRITER_SKELETON = b"[" + b"," * (graphs.N_NODES - 1) + b"]\n"
+_OPENERS = bytes.maketrans(b"[,123456789", b"aa111111111")
+_SEPARATORS = bytes.maketrans(b"[,]\n0123456789", b"aaaz1111111111")
+
+
+def _in_writer_form(lines: list[bytes]) -> bool:
+    # Whether every line is in the writer's form: a few C-level passes over
+    # the lines joined, as each line holds one newline, at its end.
+    block = b"".join(lines)
+    if block.translate(None, b"0123456789") != _WRITER_SKELETON * len(lines):
+        return False
+    openers = block.translate(_OPENERS)
+    if b"a00" in openers or b"a01" in openers:
+        return False
+    marked = block.translate(_SEPARATORS)
+    return not (marked.startswith(b"1") or b"aa" in marked or b"z1" in marked
+                or b"1z" in marked or b"1" * 19 in marked)
 
 
 def ingest_samples(path) -> SampleSet:
@@ -736,38 +811,62 @@ def ingest_samples(path) -> SampleSet:
     blank lines are skipped.  Each distinct line is parsed and checked once,
     at its first occurrence, and repeats reuse that row, so a violation
     raises with the number of the first line that holds the bad content.
-    A distinct line in a plain form skips the JSON parser: a shot with
-    counts of at most 18 digits and only spaces and tabs around them, an
-    ASCII comment, or a blank line, each ended by a newline.  Such a line
-    has the value ``json.loads`` gives it, as JSON forbids leading zeros and
-    8 counts below 10^18 sum to less than 2^63 - 1; every other line goes
-    to ``_parse_line``.  The counts of all distinct shot lines are converted
-    in one ``numpy.fromstring`` call, exact over int64.
+    The file is read in chunks of whole lines of about ``_CHUNK_BYTES``.
+    When a chunk's new distinct lines are all in the writer's form
+    (``write_samples``' ``[c0,...,c7]``, counts below 10^18), one check of
+    them joined accepts them all.  Otherwise they are taken one by one in
+    the order they first occur: a shot with counts of at most 18 digits and
+    only spaces and tabs around them, an ASCII comment or a blank line
+    skips the JSON parser, and every other line goes to ``_parse_line``.
+    Either way a line has the value ``json.loads`` gives it, as JSON
+    forbids leading zeros and 8 counts below 10^18 sum to less than
+    2^63 - 1, and a bad line raises before the next chunk is read.  The
+    counts of all distinct shot lines are converted in one
+    ``numpy.fromstring`` call, exact over int64.
     The meta file must be a UTF-8 JSON object whose ``code`` is null or a
     valid graph code and whose ``loss``, ``seed`` and ``threshold`` keep
     ``_META_RULES``; other keys are ignored.
     """
     path = Path(path)
-    rows: list[bytes] = []            # each distinct shot's counts, as text
-    index: dict[bytes, int] = {}      # raw line -> its row in rows, -1 to skip
-    order: list[int] = []
+    texts: list[bytes] = []           # distinct shots' counts, as digits and spaces
+    index: dict[bytes, int] = {}      # raw line -> its first line, from 0
+    shot_lines = [np.empty(0, dtype=np.intp)]   # per chunk, the first lines of new shots
+    firsts: list[np.ndarray] = []     # per chunk, each line's first line
+    lineno, skipped = 0, False
     with path.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            row = index.get(raw)
-            if row is None:
-                if _SHOT_LINE.fullmatch(raw):
-                    counts = raw
-                elif _SKIP_LINE.fullmatch(raw):
-                    counts = None
-                else:
-                    value = _parse_line(path, lineno, raw)
-                    counts = None if value is None else (
-                        b"%d " * graphs.N_NODES % tuple(value))
-                row = index[raw] = -1 if counts is None else len(rows)
-                if counts is not None:
-                    rows.append(counts)
-            if row >= 0:
-                order.append(row)
+        while lines := fh.readlines(_CHUNK_BYTES):
+            # setdefault gives a new line its own number and a repeat the
+            # number of its first line, so the lines that keep their own
+            # numbers are the chunk's new distinct lines, in file order.
+            first = np.fromiter(map(index.setdefault, lines, itertools.count(lineno)),
+                                dtype=np.intp, count=len(lines))
+            fresh = np.flatnonzero(first == np.arange(lineno, lineno + len(lines)))
+            new = [lines[i] for i in fresh.tolist()]
+            if _in_writer_form(new):
+                texts.append(b"".join(new).translate(_DIGITS_ONLY))
+                shot_lines.append(fresh + lineno)
+            else:
+                found, kept = [], []
+                for i, raw in zip(fresh.tolist(), new):
+                    if _SHOT_LINE.fullmatch(raw):
+                        counts = raw
+                    elif _SKIP_LINE.fullmatch(raw):
+                        counts = None
+                    else:
+                        value = _parse_line(path, lineno + i + 1, raw)
+                        counts = None if value is None else (
+                            b"%d " * graphs.N_NODES % tuple(value))
+                    if counts is None:
+                        skipped = True
+                    else:
+                        found.append(counts)
+                        kept.append(lineno + i)
+                texts.append(b"".join(found).translate(_DIGITS_ONLY))
+                shot_lines.append(np.array(kept, dtype=np.intp))
+            firsts.append(first)
+            lineno += len(lines)
+    shot_lines = np.concatenate(shot_lines)
+    rows = len(shot_lines)
     if not rows:
         raise SampleFormatError(path, 0, "file contains no samples")
 
@@ -779,10 +878,17 @@ def ingest_samples(path) -> SampleSet:
         meta_kwargs.update({key: stored[key] for key in read if key in stored})
     # Given its count, fromstring allocates the array once; left to grow it
     # while parsing, it fragments the heap and peak RSS climbs file by file.
-    flat = np.fromstring(b" ".join(rows).translate(_DIGITS_ONLY), dtype=np.int64,
-                         count=len(rows) * graphs.N_NODES, sep=" ")
-    arr = flat.reshape(len(rows), graphs.N_NODES)[order]
-    if meta_kwargs.get("threshold") and (arr > 1).any():
+    flat = np.fromstring(b"".join(texts), dtype=np.int64,
+                         count=rows * graphs.N_NODES, sep=" ")
+    distinct = flat.reshape(rows, graphs.N_NODES)
+    if meta_kwargs.get("threshold") and (distinct > 1).any():
         raise SampleFormatError(
             path, 0, "meta declares threshold samples but counts exceed 1")
-    return SampleSet(shots=arr, meta=SampleMeta(**meta_kwargs))
+    # Each line's row: the row of its first line, -1 for a skipped line.
+    row_of = np.full(lineno, -1, dtype=np.intp)
+    row_of[shot_lines] = np.arange(rows)
+    order = row_of[np.concatenate(firsts)]
+    del row_of, firsts                # freed before the shots are gathered
+    if skipped:
+        order = order[order >= 0]
+    return SampleSet(shots=distinct[order], meta=SampleMeta(**meta_kwargs))

@@ -129,17 +129,18 @@ def _sampled_meta_eta(samples: SampleSet) -> float:
 
 def fv_events_from_samples(samples: SampleSet, events: Sequence[int],
                            n_max: int = DEFAULT_MAX_PER_MODE) -> FeatureVector:
-    """Fraction of shots landing in each event (k, n_max)."""
+    """Fraction of shots landing in each event (k, n_max): the counts of
+    the matching rows of ``samples.histogram``, summed."""
     if len(samples) == 0:
         raise ValidationError("cannot build a feature vector from zero shots")
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     events = validate_events(events)
-    shots = samples.shots
-    totals = shots.sum(axis=1)
-    capped = (shots <= n_max).all(axis=1)
+    rows, counts = samples.histogram
+    totals = rows.sum(axis=1, dtype=np.int64)
+    capped = (rows <= n_max).all(axis=1)
     n = len(samples)
-    values = np.array([float(np.count_nonzero((totals == k) & capped)) / n
+    values = np.array([float(counts[(totals == k) & capped].sum()) / n
                        for k in events])
     return FeatureVector(
         labels=tuple(EventSpec(k, n_max) for k in events),
@@ -152,16 +153,19 @@ def fv_events_from_samples(samples: SampleSet, events: Sequence[int],
 
 def fv_orbits_from_samples(samples: SampleSet,
                            orbits: Sequence[OrbitId]) -> FeatureVector:
-    """Fraction of shots whose count multiset equals each orbit."""
+    """Fraction of shots whose count multiset equals each orbit: the counts
+    of the matching rows of ``samples.histogram``, summed."""
     if len(samples) == 0:
         raise ValidationError("cannot build a feature vector from zero shots")
     orbits = [validate_orbit(o) for o in orbits]
-    sorted_desc = -np.sort(-samples.shots, axis=1)
+    rows, counts = samples.histogram
+    # Sorted ascending, then reversed: unsigned rows are never negated.
+    sorted_desc = np.sort(rows, axis=1)[:, ::-1]
     n = len(samples)
     values = []
     for orbit in orbits:
         padded = np.array(orbit + (0,) * (graphs.N_NODES - len(orbit)))
-        values.append(float(np.count_nonzero((sorted_desc == padded).all(axis=1))) / n)
+        values.append(float(counts[(sorted_desc == padded).all(axis=1)].sum()) / n)
     values = np.array(values)
     return FeatureVector(
         labels=tuple(orbits),

@@ -217,7 +217,7 @@ def ingest_samples_per_line(path) -> np.ndarray:
 
 def assert_ingest_matches_oracle(path):
     """``ingest_samples`` returns the per-line oracle's shots, or raises its
-    error text."""
+    error text; the set's histogram is ``np.unique`` of those shots."""
     try:
         want = ingest_samples_per_line(path)
     except SampleFormatError as exc:
@@ -225,9 +225,22 @@ def assert_ingest_matches_oracle(path):
             engine.ingest_samples(path)
         assert str(err.value) == str(exc)
         return
-    got = engine.ingest_samples(path).shots
-    assert got.dtype == want.dtype == np.int64
-    assert np.array_equal(got, want)
+    samples = engine.ingest_samples(path)
+    assert samples.shots.dtype == want.dtype == np.int64
+    assert np.array_equal(samples.shots, want)
+    assert_histogram_of(samples)
+
+
+def assert_histogram_of(samples):
+    """``samples.histogram`` is ``np.unique(shots, axis=0, return_counts=True)``,
+    read-only, with uint8 rows when every count lies in [0, 256)."""
+    rows, counts = samples.histogram
+    want_rows, want_counts = np.unique(samples.shots, axis=0, return_counts=True)
+    small = 0 <= samples.shots.min() and samples.shots.max() < 256
+    assert rows.dtype == (np.uint8 if small else samples.shots.dtype)
+    assert counts.dtype == want_counts.dtype
+    assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
+    assert not rows.flags.writeable and not counts.flags.writeable
 
 
 _Poly = dict[tuple[int, int, int, int], int]
@@ -401,3 +414,65 @@ def match_on_grid_per_halving(sampled, spec, component_index, loss_factors,
         else:
             lo, rlo = mid, rmid
     return 0.5 * (lo + hi)
+
+
+def convolve_rows_untruncated(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``engine._convolve_rows`` with every column of each row's
+    convolution: the form it had before it stopped at the largest asked
+    total."""
+    out = np.zeros((len(x), x.shape[1] + y.shape[1] - 1))
+    for j in range(y.shape[1]):
+        out[:, j:j + x.shape[1]] += y[:, j:j + 1] * x
+    return out
+
+
+def fv_events_per_shot(samples, events, n_max: int) -> np.ndarray:
+    """The values of ``features.fv_events_from_samples`` counted over every
+    shot: the form it had before it read ``samples.histogram``."""
+    shots = samples.shots
+    totals = shots.sum(axis=1)
+    capped = (shots <= n_max).all(axis=1)
+    n = len(samples)
+    return np.array([float(np.count_nonzero((totals == k) & capped)) / n
+                     for k in events])
+
+
+def fv_orbits_per_shot(samples, orbits) -> np.ndarray:
+    """The values of ``features.fv_orbits_from_samples`` counted over every
+    shot, each sorted by negation: the form it had before it read
+    ``samples.histogram``."""
+    sorted_desc = -np.sort(-samples.shots, axis=1)
+    n = len(samples)
+    values = []
+    for orbit in orbits:
+        padded = np.array(tuple(orbit) + (0,) * (N_NODES - len(orbit)))
+        values.append(float(np.count_nonzero((sorted_desc == padded).all(axis=1))) / n)
+    return np.array(values)
+
+
+def ingest_report_per_shot(path) -> dict:
+    """The report of ``gbsgraphs ingest`` computed over every shot of the
+    per-line oracle, the way it was before it read the histogram; the meta
+    fields come from the package."""
+    shots = ingest_samples_per_line(path)
+    meta = engine.ingest_samples(path).meta
+    samples = engine.SampleSet(shots=shots, meta=meta)
+    totals = shots.sum(axis=1)
+    observed, counts = np.unique(totals, return_counts=True)
+    if shots.max() <= (2 ** 63 - 1) // len(shots):
+        mode_totals = shots.sum(axis=0).tolist()
+    else:
+        mode_totals = [int(x) for x in shots.sum(axis=0, dtype=object)]
+    events = fv_events_per_shot(samples, observed.tolist(),
+                                features.DEFAULT_MAX_PER_MODE)
+    return {
+        "path": str(path),
+        "shots": len(shots),
+        "code": meta.code,
+        "threshold": meta.threshold,
+        "loss": meta.loss,
+        "mode_totals": mode_totals,
+        "total_histogram": {str(k): int(c) for k, c in zip(observed, counts)},
+        "odd_total_fraction": float((totals % 2 == 1).mean()),
+        "event_frequencies": {str(k): float(v) for k, v in zip(observed, events)},
+    }

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from gbsgraphs import catalog, embedding, engine, features, graphs
 from gbsgraphs.cli import cli
 from oracles import (assert_ingest_matches_oracle, build_catalog_per_code,
-                     embeddability_check_per_code, read_catalog)
+                     embeddability_check_per_code, ingest_report_per_shot,
+                     read_catalog)
 
 
 @pytest.fixture()
@@ -339,6 +340,49 @@ def test_ingest_mode_totals_do_not_wrap(tmp_path, runner):
     result = run_in(tmp_path, runner, ["ingest", "s.samples"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["mode_totals"][0] == 3 * 2 ** 62
+
+
+def _irregular_sample_text(shots, rng) -> str:
+    # The spellings of the benchmark's CLI sample files: spaced arrays, a
+    # padded line, a blank line and ``#`` comments.
+    lines = ["# irregular shots", ""]
+    for row, style in zip(shots.tolist(), rng.integers(0, 4, size=len(shots)).tolist()):
+        if style == 0:
+            lines.append("[" + ", ".join(map(str, row)) + "]")
+        elif style == 1:
+            lines.append("  [" + ",".join(map(str, row)) + "]   ")
+        elif style == 2:
+            lines += ["[ " + " , ".join(map(str, row)) + " ]", ""]
+        else:
+            lines += ["# shot", "[" + ",  ".join(map(str, row)) + "]"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["irregular", "irregular-256", "writer-256",
+                                  "threshold", "wrapping-columns"])
+def test_ingest_report_matches_per_shot_oracle_byte_for_byte(
+        tmp_path, runner, monkeypatch, specs_by_code, kind):
+    rng = np.random.default_rng(21)
+    drawn = engine.apply_loss(engine.sample(specs_by_code["1111111111"], 1_500,
+                                            seed=22),
+                              engine.LossModel(0.55), seed=23)
+    if kind == "threshold":
+        drawn = engine.to_threshold(drawn)
+    shots = drawn.shots.copy()
+    if kind.endswith("256"):
+        shots[:20] = rng.choice([0, 255, 256, 10 ** 6], size=(20, 8))
+    if kind == "wrapping-columns":
+        shots = np.array([[2 ** 62, 1, 0, 0, 0, 0, 0, 2]] * 2 + [[1] * 8] * 3)
+    path = tmp_path / "s.samples"
+    engine.write_samples(engine.SampleSet(shots=shots, meta=drawn.meta), path)
+    if kind.startswith("irregular"):
+        path.write_text(_irregular_sample_text(shots, rng), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(cli, ["ingest", "s.samples", "--out", "r.json"])
+    assert result.exit_code == 0, result.output
+    want = json.dumps(ingest_report_per_shot(Path("s.samples")), indent=2,
+                      sort_keys=True) + "\n"
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == want
 
 
 def test_ingest_invalid_utf8_is_validation_error(tmp_path, runner):

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from gbsgraphs import embedding, engine, graphs
 from gbsgraphs.errors import SampleFormatError, ValidationError
-from oracles import (assert_ingest_matches_oracle, binomial_by_power,
-                     build_table_by_polynomial, code_of_matrix,
-                     detected_probabilities_per_side, one_code_per_block_shape,
+from oracles import (assert_histogram_of, assert_ingest_matches_oracle,
+                     binomial_by_power, build_table_by_polynomial, code_of_matrix,
+                     convolve_rows_untruncated, detected_probabilities_per_side,
+                     one_code_per_block_shape,
                      orbit_patterns, pair_diagonals, pair_matrix_by_diagonals,
                      permanent_naive, sample_file_text, slice_mass, table_lookup)
 
@@ -552,6 +553,30 @@ def test_capped_events_refuse_more_than_2_to_28_cells():
                                              [0.5]).shape == (1, 2)
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 8])
+def test_capped_events_match_untruncated_convolution_bit_for_bit(
+        embeddable, monkeypatch, n_max):
+    # Every rank, with totals past the largest one asked left out of each
+    # convolution or not; and the columns kept on their own.
+    rows = np.random.default_rng(20).random((3, 9))
+    for width in (1, 2, 5, 9, 17, 30):
+        got = engine._convolve_rows(rows, rows[:, :7], width)
+        want = convolve_rows_untruncated(rows, rows[:, :7])[:, :width]
+        assert np.array_equal(_bits(got), _bits(want)), width
+    etas = [0.0, 0.3, 0.55, 1.0]
+    specs = {spec.rank: spec for _, spec in embeddable}
+    assert sorted(specs) == [1, 2, 3, 4]
+    for events in ([2, 4, 6, 8], [8, 0, 3], [1], list(range(25)), [40, 7]):
+        got = {rank: engine.capped_event_probabilities(spec, events, n_max, etas)
+               for rank, spec in specs.items()}
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_convolve_rows",
+                      lambda x, y, width: convolve_rows_untruncated(x, y))
+            for rank, spec in specs.items():
+                want = engine.capped_event_probabilities(spec, events, n_max, etas)
+                assert np.array_equal(_bits(got[rank]), _bits(want)), (rank, events)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -918,6 +943,106 @@ def test_ingest_reads_written_samples_without_the_json_parser(
     got = engine.ingest_samples(path)
     assert loaded == [engine.meta_path_for(path).read_text(encoding="utf-8")]
     assert np.array_equal(got.shots, shots)
+
+
+def _in_writer_form_by_definition(line: bytes) -> bool:
+    # ``[c0,...,c7]\n`` with each count equal to its own ``%d`` rendering,
+    # below 10^18.
+    if not (line.startswith(b"[") and line.endswith(b"]\n")):
+        return False
+    fields = line[1:-2].split(b",")
+    return len(fields) == graphs.N_NODES and all(
+        field.isdigit() and b"%d" % int(field) == field and int(field) < 10 ** 18
+        for field in fields)
+
+
+_WRITER_COUNT = st.one_of(
+    st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=300),
+    st.sampled_from([10, 100, 10 ** 17, 10 ** 18 - 1, 10 ** 18, 10 ** 19 - 1]))
+
+
+@st.composite
+def _sample_line(draw):
+    """A writer-form line, or one with one mutation: a leading zero, an
+    empty count, a digit before ``[`` or after ``]``, a space, CRLF, a
+    non-ASCII comment, bad UTF-8 or a doubled bracket."""
+    fields = [b"%d" % c for c in draw(st.lists(_WRITER_COUNT, min_size=8, max_size=8))]
+    i = draw(st.integers(min_value=0, max_value=7))
+    kind = draw(st.sampled_from(["writer"] * 6 + [
+        "leading-zero", "empty", "digit-before", "digit-after", "space", "crlf",
+        "comment", "bad-utf8", "bracket", "blank"]))
+    if kind == "leading-zero":
+        fields[i] = b"0" + fields[i]
+    elif kind == "empty":
+        fields[i] = b""
+    line = b"[" + b",".join(fields) + b"]"
+    if kind == "digit-before":
+        line = draw(st.sampled_from([b"0", b"5"])) + line
+    elif kind == "digit-after":
+        line += draw(st.sampled_from([b"0", b"7"]))
+    elif kind == "space":
+        at = draw(st.integers(min_value=0, max_value=len(line)))
+        line = line[:at] + b" " + line[at:]
+    elif kind == "comment":
+        line = "# h\u00e9 \u2713".encode()
+    elif kind == "bad-utf8":
+        at = draw(st.integers(min_value=0, max_value=len(line)))
+        line = line[:at] + b"\xff" + line[at:]
+    elif kind == "bracket":
+        line += b"]"
+    elif kind == "blank":
+        line = b""
+    return line + (b"\r\n" if kind == "crlf" else b"\n")
+
+
+@given(lines=st.lists(_sample_line(), min_size=1, max_size=6))
+@settings(max_examples=300)
+def test_writer_form_check_agrees_with_its_definition(lines):
+    for line in lines:
+        assert engine._in_writer_form([line]) == _in_writer_form_by_definition(line)
+    assert engine._in_writer_form(lines) == all(map(_in_writer_form_by_definition,
+                                                    lines))
+
+
+@given(lines=st.lists(_sample_line(), min_size=1, max_size=6),
+       picks=st.lists(st.integers(min_value=0, max_value=5), max_size=24),
+       final_newline=st.booleans(),
+       chunk=st.sampled_from([1, 25, 80, engine._CHUNK_BYTES]))
+@settings(max_examples=150)
+def test_ingest_matches_per_line_oracle_on_mutated_writer_lines(
+        tmp_path_factory, lines, picks, final_newline, chunk):
+    # Repeats of earlier lines, and chunks from one line to the whole file.
+    text = b"".join(lines + [lines[i % len(lines)] for i in picks])
+    if not final_newline:
+        text = text[:-1]
+    path = tmp_path_factory.mktemp("mutated") / "f.samples"
+    path.write_bytes(text)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_CHUNK_BYTES", chunk)
+        assert_ingest_matches_oracle(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 300, 1 << 18])
+def test_ingest_reads_writer_form_chunks_without_a_pattern_per_line(
+        tmp_path, monkeypatch, k44_spec, chunk):
+    shots = engine.apply_loss(engine.sample(k44_spec, 3_000, seed=70),
+                              engine.LossModel(0.55), seed=71).shots
+    shots[:30] = np.random.default_rng(72).choice([0, 9, 10, 256, 10 ** 18 - 1],
+                                                  size=(30, 8))
+    path = tmp_path / "x.samples"
+    engine.write_samples(
+        engine.SampleSet(shots=shots, meta=engine.SampleMeta("simulated")), path)
+
+    class NoMatch:
+        def fullmatch(self, raw):
+            raise AssertionError("a line went to a pattern")
+
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(engine, "_SHOT_LINE", NoMatch())
+    monkeypatch.setattr(engine, "_SKIP_LINE", NoMatch())
+    got = engine.ingest_samples(path)
+    assert np.array_equal(got.shots, shots)
+    assert_histogram_of(got)
 
 
 def test_build_table_and_ingest_leave_no_cyclic_garbage(tmp_path, k44_spec):

@@ -10,7 +10,8 @@ from gbsgraphs import embedding, engine, features, figures
 from gbsgraphs.cli import CLASS_REPRESENTATIVES
 from gbsgraphs.engine import LossModel, SampleMeta, SampleSet
 from gbsgraphs.errors import ValidationError
-from oracles import match_on_grid_per_halving
+from oracles import (assert_histogram_of, fv_events_per_shot, fv_orbits_per_shot,
+                     match_on_grid_per_halving)
 from oracles import orbit_patterns as orbit_patterns_oracle
 from oracles import slice_mass
 
@@ -145,6 +146,68 @@ def test_fv_orbits_zero_on_vacuum_shots():
     samples = make_samples([[0] * 8] * 5)
     fv = features.fv_orbits_from_samples(samples, [(1, 1), (2, 1, 1)])
     assert fv.values.tolist() == [0.0, 0.0]
+
+
+_HISTOGRAM_ORBITS = list(features.DEFAULT_ORBITS) + [
+    (), (1,), (2,), (1, 1), (3, 2, 1), (2, 2, 1, 1), (1,) * 8, (300,), (300, 1)]
+
+
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def _assert_vectors_match_per_shot_oracle(samples):
+    events = list(range(13)) + [300, 301, 10 ** 30]
+    for n_max in (1, 2, 8, 300):
+        got = features.fv_events_from_samples(samples, events, n_max)
+        want = fv_events_per_shot(samples, events, n_max)
+        assert np.array_equal(_bits(got.values), _bits(want)), n_max
+    got = features.fv_orbits_from_samples(samples, _HISTOGRAM_ORBITS)
+    assert np.array_equal(_bits(got.values),
+                          _bits(fv_orbits_per_shot(samples, _HISTOGRAM_ORBITS)))
+
+
+def test_sampled_vectors_match_per_shot_oracle_bit_for_bit(embeddable, tmp_path):
+    # All 75 graphs, each set as sampled (histogram made on first use),
+    # written (histogram supplied by write_samples) and ingested.
+    for i, (code, spec) in enumerate(embeddable):
+        drawn = engine.apply_loss(engine.sample(spec, 1_500, seed=2 * i),
+                                  LossModel(0.55), seed=2 * i + 1)
+        fresh = SampleSet(shots=drawn.shots, meta=drawn.meta)
+        path = tmp_path / f"{code}.samples"
+        engine.write_samples(drawn, path)
+        for samples in (fresh, drawn, engine.ingest_samples(path)):
+            _assert_vectors_match_per_shot_oracle(samples)
+            assert_histogram_of(samples)
+
+
+@pytest.mark.parametrize("big", [0, 300])
+def test_histogram_merges_spellings_of_one_pattern(tmp_path, big):
+    # Two spellings of one pattern are two distinct lines but one row, with
+    # counts below 256 (uint8 rows) or not (int64 rows).
+    path = tmp_path / "x.samples"
+    path.write_bytes(
+        b"[%d,0,0,0,1,0,0,0]\n[ %d, 0,0,0,1,0,0,0 ]\n# h\n" % (big, big)
+        + b"[1,0,0,0,1,0,0,0]\n[1,0,0,0,1,0,0,0]\r\n\n[1, 0,0,0,1,0,0,0]\n"
+        + b"[0,0,0,0,0,0,0,0]\n[1,0,0,0,1,0,0,0]\n")
+    samples = engine.ingest_samples(path)
+    rows, counts = samples.histogram
+    assert_histogram_of(samples)
+    assert rows.dtype == (np.uint8 if big < 256 else np.int64)
+    assert counts.tolist() == ([1, 2, 4] if big == 0 else [1, 4, 2])
+    _assert_vectors_match_per_shot_oracle(samples)
+
+
+def test_histogram_is_computed_once_or_supplied_by_write_samples(
+        tmp_path, specs_by_code):
+    drawn = engine.sample(specs_by_code["1111111111"], 2_000, seed=54)
+    fresh = SampleSet(shots=drawn.shots, meta=drawn.meta)
+    assert "histogram" not in vars(drawn)
+    engine.write_samples(drawn, tmp_path / "x.samples")
+    assert "histogram" in vars(drawn)
+    assert fresh.histogram is fresh.histogram
+    for samples in (drawn, fresh):
+        assert_histogram_of(samples)
 
 
 def test_sampled_events_match_analytic_within_4_sigma(specs_by_code):
