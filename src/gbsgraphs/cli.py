@@ -7,7 +7,6 @@ breach.  Every command is deterministic given its options and seed.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -42,18 +41,18 @@ class CliInternalError(click.ClickException):
     exit_code = 4
 
 
-def _mapped_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _MappedErrorGroup(click.Group):
+    """Maps the package's errors to exit codes once, for every command."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except ValidationError as exc:
             raise CliValidationError(str(exc))
         except OSError as exc:
             raise CliIoError(str(exc))
         except InternalError as exc:
             raise CliInternalError(str(exc))
-    return wrapper
 
 
 def _parse_events(text: str) -> list[int]:
@@ -96,7 +95,7 @@ _seed_option = click.option("--seed", type=click.IntRange(min=0), default=0,
                             help="PCG64 seed; reruns are bit-identical.")
 
 
-@click.group()
+@click.group(cls=_MappedErrorGroup)
 @click.version_option()
 def cli():
     """Bipartite-graph boson-sampling simulator and analysis pipeline."""
@@ -109,7 +108,6 @@ def cli():
               show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
-@_mapped_errors
 def cmd_enumerate(all_candidates, out, fmt):
     """Write the catalog of embeddable graph codes."""
     records = catalog.build_catalog(include_all=all_candidates)
@@ -130,7 +128,6 @@ def cmd_enumerate(all_candidates, out, fmt):
 
 @cli.command("classify")
 @click.argument("codes", nargs=-1, required=True)
-@_mapped_errors
 def cmd_classify(codes):
     """Isomorphism class and components of one or more graph codes."""
     walked = {c.code: c for c in walk_codes()}
@@ -153,7 +150,6 @@ def cmd_classify(codes):
 
 @cli.command("embed")
 @click.argument("code")
-@_mapped_errors
 def cmd_embed(code):
     """Embedding parameters (scale, squeezing, photon budget) for a code."""
     spec = make_embedding(code)
@@ -179,7 +175,6 @@ def cmd_embed(code):
 @click.option("--threshold", is_flag=True, help="Clamp counts to click/no-click.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Sample file path [default: <code>.samples].")
-@_mapped_errors
 def cmd_simulate(code, shots, seed, eta, threshold, out):
     """Draw seeded samples for an embeddable code and write them to disk.
 
@@ -203,7 +198,6 @@ def cmd_simulate(code, shots, seed, eta, threshold, out):
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the report as JSON instead of stdout only.")
-@_mapped_errors
 def cmd_ingest(path, out):
     """Validate a sample file and report its summary statistics."""
     samples = ingest_samples(path)
@@ -258,7 +252,6 @@ def _fv_rows(code, label, fv):
               help="Transmission eta for the analytic vector.")
 @click.option("--out", type=click.Path(dir_okay=False), default="fv.csv",
               show_default=True)
-@_mapped_errors
 def cmd_fv(sample_paths, code, events, n_max, orbits, eta, out):
     """Feature vectors from sample files and/or the analytic distribution."""
     if not sample_paths and code is None:
@@ -306,40 +299,26 @@ def cmd_fv(sample_paths, code, events, n_max, orbits, eta, out):
               help="Loss-factor grid step, in [1e-4, 1].")
 @click.option("--out", type=click.Path(dir_okay=False), default="deviation.csv",
               show_default=True)
-@_mapped_errors
 def cmd_deviation(sample_path, code, events, n_max, step, out):
     """Relative deviation of a sampled event FV from theory over a loss sweep."""
-    _write_deviation(sample_path, code, step, out, events=events, n_max=n_max)
+    _, report = _fig3(ingest_samples(sample_path), code, step, out,
+                      events=events, n_max=n_max)
+    _echo_json(report)
     click.echo(f"wrote deviation grid to {out}")
 
 
-def _write_deviation(sample_path, code, step, csv_path, svg_path=None,
-                     events=None, n_max=features.DEFAULT_MAX_PER_MODE):
-    """Write one sample file's deviation grid, echo its matches, return the paths."""
-    samples = ingest_samples(sample_path)
+def _fig3(samples, code, step, csv_path, svg_path=None, events=None,
+          n_max=features.DEFAULT_MAX_PER_MODE):
+    """Write one graph's deviation grid; return the paths and a report of its
+    matched loss factors.  The code defaults to the one in the metadata."""
     code = code or samples.meta.code
     if code is None:
         raise ValidationError("no code given and none recorded in the metadata")
-    paths, matches = _fig3(samples, code, step, csv_path, svg_path, events, n_max)
-    _echo_json({"code": code, "matched_loss_factor": matches})
-    return paths
-
-
-def _fig3(samples, code, step, csv_path, svg_path, events=None,
-          n_max=features.DEFAULT_MAX_PER_MODE):
-    """Write one graph's deviation grid; return the paths and matched loss factors."""
     spec = make_embedding(code)
     event_list = features.DEFAULT_EVENTS if events is None else _parse_events(events)
     curve, matches = figures.deviation_rows(samples, spec, event_list, n_max, step)
-    return figures.write_deviation(curve, csv_path, svg_path), matches
-
-
-def _fig4(rows, csv_path, clusters_path, svg_path):
-    """Write the orbit-space figure; return the paths and the cluster summaries."""
-    summaries = figures.cluster_summaries(rows)
-    paths = figures.write_orbit_space(rows, summaries, csv_path, clusters_path,
-                                      svg_path)
-    return paths, summaries
+    paths = figures.write_deviation(curve, csv_path, svg_path)
+    return paths, {"code": code, "matched_loss_factor": matches}
 
 
 @cli.command("figure")
@@ -361,7 +340,6 @@ def _fig4(rows, csv_path, clusters_path, svg_path):
 @click.option("--format", "fmt", type=click.Choice(["csv", "svg"]),
               default="svg", show_default=True,
               help="'csv' skips the SVG rendering.")
-@_mapped_errors
 def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
                out_prefix, fmt):
     """Emit the data (CSV) and rendering (SVG) behind one figure."""
@@ -372,7 +350,9 @@ def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
     if name == "fig3":
         if sample_path is None:
             raise ValidationError("fig3 needs --samples")
-        paths = _write_deviation(sample_path, code, step, csv_path, svg_path)
+        paths, report = _fig3(ingest_samples(sample_path), code, step,
+                              csv_path, svg_path)
+        _echo_json(report)
     else:
         if samples_dir is None:
             raise ValidationError(f"{name} needs --samples-dir")
@@ -393,8 +373,9 @@ def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
         else:
             rows = [figures.orbit_row(code, label, ingest_samples(files[code]))
                     for code, label in ordered]
-            paths, _ = _fig4(rows, csv_path, Path(f"{prefix}_clusters.csv"),
-                             svg_path)
+            paths = figures.write_orbit_space(
+                rows, figures.cluster_summaries(rows), csv_path,
+                Path(f"{prefix}_clusters.csv"), svg_path)
     click.echo("wrote " + ", ".join(str(p) for p in paths))
 
 
@@ -415,7 +396,6 @@ FIG3_CODE = "1111111111"  # the only connected embeddable graph
               help="Loss-factor grid step of fig3, in [1e-4, 1].")
 @click.option("--codes", default="",
               help="Comma list restricting the run to a subset of codes.")
-@_mapped_errors
 def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
     """End-to-end experiment: catalog, per-graph samples, and all three figures.
 
@@ -449,8 +429,9 @@ def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
         fig2_rows.append(figures.event_row(position, code, label, samples, event_k))
         fig4_rows.append(figures.orbit_row(code, label, samples))
         if code == FIG3_CODE:
-            _, matches = _fig3(samples, FIG3_CODE, step,
-                               outdir / "fig3.csv", outdir / "fig3.svg")
+            _, report = _fig3(samples, FIG3_CODE, step,
+                              outdir / "fig3.csv", outdir / "fig3.svg")
+            matches = report["matched_loss_factor"]
     click.echo(f"samples: {len(fig2_rows)} graphs x {shots} shots "
                f"at eta={eta} in {time.perf_counter() - start:.1f} s")
 
@@ -463,8 +444,9 @@ def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
             json.dumps(matches, indent=2, sort_keys=True) + "\n")
         click.echo(f"fig3: matched loss factors {matches}")
 
-    _, summaries = _fig4(fig4_rows, outdir / "fig4.csv",
-                         outdir / "fig4_clusters.csv", outdir / "fig4.svg")
+    summaries = figures.cluster_summaries(fig4_rows)
+    figures.write_orbit_space(fig4_rows, summaries, outdir / "fig4.csv",
+                              outdir / "fig4_clusters.csv", outdir / "fig4.svg")
     separated = sum(1 for s in summaries if s.separation > s.dispersion)
     click.echo(f"fig4: {separated}/{len(summaries)} classes separate from "
                f"their nearest neighbour")
@@ -494,7 +476,6 @@ OVERLAP_PAIRS = (("2P3", "2S3"), ("2K2", "2P3"), ("1C4", "1K33"))
               help="Comma list of transmissions to sweep.")
 @click.option("--shots", type=click.IntRange(1, MAX_SHOTS), default=100_000,
               show_default=True, help="Shots per graph behind the noise floor.")
-@_mapped_errors
 def cmd_overlap(etas, shots):
     """How close do the class clusters sit in orbit space?
 
@@ -532,9 +513,5 @@ def cmd_overlap(etas, shots):
         click.echo()
 
 
-def main():
-    cli()
-
-
 if __name__ == "__main__":
-    main()
+    cli()

@@ -759,14 +759,12 @@ def _parse_line(path: Path, lineno: int, raw: bytes) -> list[int] | None:
     return value
 
 
-#: Lines ``ingest_samples`` reads without the JSON parser when their chunk is
-#: not all in the writer's form: a shot of counts of at most 18 digits with
-#: JSON spaces and tabs, whose only digits are its counts; and an ASCII ``#``
-#: comment or a blank line.
+#: Shot lines ``ingest_samples`` reads without the JSON parser when their
+#: chunk is not all in the writer's form: counts of at most 18 digits with
+#: JSON spaces and tabs, whose only digits are its counts.
 _COUNT = rb"[ \t]*(?:0|[1-9][0-9]{0,17})[ \t]*"
 _SHOT_LINE = re.compile(
     rb"[ \t]*\[" + rb",".join([_COUNT] * graphs.N_NODES) + rb"\][ \t\r]*\n")
-_SKIP_LINE = re.compile(rb"[ \t]*#[\x00-\x7f]*\n|[ \t\r]*\n")
 
 #: Maps every byte but an ASCII digit to a space.
 _DIGITS_ONLY = bytes(b if b in b"0123456789" else 32 for b in range(256))
@@ -808,16 +806,17 @@ def ingest_samples(path) -> SampleSet:
 
     Each line must be UTF-8 holding a JSON array of exactly 8 nonnegative
     integers summing to at most 2^63 - 1; lines starting with ``#`` and
-    blank lines are skipped.  Each distinct line is parsed and checked once,
-    at its first occurrence, and repeats reuse that row, so a violation
-    raises with the number of the first line that holds the bad content.
+    blank lines are skipped, and a file of more than ``MAX_SHOTS`` shots is
+    refused.  Each distinct line is parsed and checked once, at its first
+    occurrence, and repeats reuse that row, so a violation raises with the
+    number of the first line that holds the bad content.
     The file is read in chunks of whole lines of about ``_CHUNK_BYTES``.
     When a chunk's new distinct lines are all in the writer's form
     (``write_samples``' ``[c0,...,c7]``, counts below 10^18), one check of
     them joined accepts them all.  Otherwise they are taken one by one in
     the order they first occur: a shot with counts of at most 18 digits and
-    only spaces and tabs around them, an ASCII comment or a blank line
-    skips the JSON parser, and every other line goes to ``_parse_line``.
+    only spaces and tabs around them skips the JSON parser, and every other
+    line, comments and blank lines too, goes to ``_parse_line``.
     Either way a line has the value ``json.loads`` gives it, as JSON
     forbids leading zeros and 8 counts below 10^18 sum to less than
     2^63 - 1, and a bad line raises before the next chunk is read.  The
@@ -850,8 +849,6 @@ def ingest_samples(path) -> SampleSet:
                 for i, raw in zip(fresh.tolist(), new):
                     if _SHOT_LINE.fullmatch(raw):
                         counts = raw
-                    elif _SKIP_LINE.fullmatch(raw):
-                        counts = None
                     else:
                         value = _parse_line(path, lineno + i + 1, raw)
                         counts = None if value is None else (
@@ -891,4 +888,7 @@ def ingest_samples(path) -> SampleSet:
     del row_of, firsts                # freed before the shots are gathered
     if skipped:
         order = order[order >= 0]
+    if len(order) > MAX_SHOTS:
+        raise SampleFormatError(
+            path, 0, f"file holds {len(order)} shots, more than {MAX_SHOTS}")
     return SampleSet(shots=distinct[order], meta=SampleMeta(**meta_kwargs))

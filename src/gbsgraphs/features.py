@@ -123,8 +123,19 @@ def format_label(label) -> str:
 # Sampled feature vectors
 # ---------------------------------------------------------------------------
 
-def _sampled_meta_eta(samples: SampleSet) -> float:
-    return samples.meta.loss if samples.meta.loss is not None else 1.0
+def _sampled_fv(samples: SampleSet, labels, masks) -> FeatureVector:
+    # Each label's value: the counts of its mask's rows of
+    # ``samples.histogram``, summed, over the number of shots.
+    counts = samples.histogram[1]
+    n = len(samples)
+    values = np.array([float(counts[mask].sum()) / n for mask in masks])
+    return FeatureVector(
+        labels=tuple(labels),
+        values=values,
+        provenance="sampled",
+        loss_eta=samples.meta.loss if samples.meta.loss is not None else 1.0,
+        stat_error=np.sqrt(values * (1.0 - values) / n),
+    )
 
 
 def fv_events_from_samples(samples: SampleSet, events: Sequence[int],
@@ -136,19 +147,11 @@ def fv_events_from_samples(samples: SampleSet, events: Sequence[int],
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     events = validate_events(events)
-    rows, counts = samples.histogram
+    rows = samples.histogram[0]
     totals = rows.sum(axis=1, dtype=np.int64)
     capped = (rows <= n_max).all(axis=1)
-    n = len(samples)
-    values = np.array([float(counts[(totals == k) & capped].sum()) / n
-                       for k in events])
-    return FeatureVector(
-        labels=tuple(EventSpec(k, n_max) for k in events),
-        values=values,
-        provenance="sampled",
-        loss_eta=_sampled_meta_eta(samples),
-        stat_error=np.sqrt(values * (1.0 - values) / n),
-    )
+    return _sampled_fv(samples, (EventSpec(k, n_max) for k in events),
+                       ((totals == k) & capped for k in events))
 
 
 def fv_orbits_from_samples(samples: SampleSet,
@@ -158,22 +161,11 @@ def fv_orbits_from_samples(samples: SampleSet,
     if len(samples) == 0:
         raise ValidationError("cannot build a feature vector from zero shots")
     orbits = [validate_orbit(o) for o in orbits]
-    rows, counts = samples.histogram
     # Sorted ascending, then reversed: unsigned rows are never negated.
-    sorted_desc = np.sort(rows, axis=1)[:, ::-1]
-    n = len(samples)
-    values = []
-    for orbit in orbits:
-        padded = np.array(orbit + (0,) * (graphs.N_NODES - len(orbit)))
-        values.append(float(counts[(sorted_desc == padded).all(axis=1)].sum()) / n)
-    values = np.array(values)
-    return FeatureVector(
-        labels=tuple(orbits),
-        values=values,
-        provenance="sampled",
-        loss_eta=_sampled_meta_eta(samples),
-        stat_error=np.sqrt(values * (1.0 - values) / n),
-    )
+    sorted_desc = np.sort(samples.histogram[0], axis=1)[:, ::-1]
+    padded = (np.array(o + (0,) * (graphs.N_NODES - len(o))) for o in orbits)
+    return _sampled_fv(samples, orbits,
+                       ((sorted_desc == p).all(axis=1) for p in padded))
 
 
 # ---------------------------------------------------------------------------

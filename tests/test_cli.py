@@ -3,6 +3,7 @@ import json
 import time
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from gbsgraphs import catalog, embedding, engine, features, graphs
 from gbsgraphs.cli import cli
+from gbsgraphs.errors import InternalError, ValidationError
 from oracles import (assert_ingest_matches_oracle, build_catalog_per_code,
                      embeddability_check_per_code, ingest_report_per_shot,
                      read_catalog)
@@ -301,6 +303,16 @@ def test_ingest_error_names_line(tmp_path, runner):
     result = run_in(tmp_path, runner, ["ingest", str(bad)])
     assert result.exit_code == 2
     assert "bad.samples:2" in result.output
+
+
+def test_ingest_refuses_more_than_max_shots(tmp_path, runner, monkeypatch):
+    monkeypatch.setattr(engine, "MAX_SHOTS", 3)
+    (tmp_path / "x.samples").write_text("[0,0,0,0,0,0,0,1]\n" * 3)
+    assert run_in(tmp_path, runner, ["ingest", "x.samples"]).exit_code == 0
+    (tmp_path / "x.samples").write_text("[0,0,0,0,0,0,0,1]\n" * 4)
+    result = run_in(tmp_path, runner, ["ingest", "x.samples"])
+    assert result.exit_code == 2, result.output
+    assert result.output == "Error: x.samples:0: file holds 4 shots, more than 3\n"
 
 
 def test_ingest_empty_file_is_validation_error(tmp_path, runner):
@@ -859,3 +871,60 @@ def test_figure_outputs_are_deterministic(tmp_path, runner, sample_dir):
     run_in(tmp_path, runner, args + ["--out-prefix", "y"])
     assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
     assert (tmp_path / "x.svg").read_bytes() == (tmp_path / "y.svg").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args", [
+    ["enumerate", "--out", "missing/c.json"],
+    ["simulate", "1111111111", "--shots", "10", "--out", "missing/x.samples"],
+    ["ingest", "d.samples", "--out", "missing/r.json"],
+    ["fv", "--samples", "d.samples", "--out", "missing/fv.csv"],
+    ["deviation", "--samples", "d.samples", "--step", "0.1",
+     "--out", "missing/dev.csv"],
+    ["figure", "fig3", "--samples", "d.samples", "--step", "0.1",
+     "--out-prefix", "missing/f3"],
+    # pipeline makes a missing OUTDIR, so this one lies under a regular file.
+    ["pipeline", "--shots", "10", "--codes", "0000000100", "--outdir", "d.samples/p"],
+], ids=lambda args: args[0] if args[0] != "figure" else "figure-fig3")
+def test_writing_commands_exit_3_when_the_output_directory_is_missing(
+        dev_dir, runner, args):
+    result = run_in(dev_dir, runner, args)
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert result.output.splitlines()[-1].startswith("Error: [Errno")
+
+
+@pytest.mark.parametrize("error, code", [
+    (ValidationError("bad input"), 2),
+    (OSError("disk gone"), 3),
+    (InternalError("invariant broken"), 4),
+])
+def test_the_command_group_maps_errors_of_any_command(runner, error, code):
+    @click.command("raise-error")
+    def raise_error():
+        raise error
+
+    cli.add_command(raise_error)
+    try:
+        result = runner.invoke(cli, ["raise-error"])
+    finally:
+        del cli.commands["raise-error"]
+    assert result.exit_code == code, (result.output, result.exception)
+    assert result.output == f"Error: {error}\n"
+    assert "raise-error" not in cli.commands
+
+
+def test_figure_fig3_and_deviation_write_the_same_grid(dev_dir, runner):
+    deviation = run_in(dev_dir, runner, ["deviation", "--samples", "d.samples",
+                                         "--step", "0.05", "--out", "dev.csv"])
+    figure = run_in(dev_dir, runner, ["figure", "fig3", "--samples", "d.samples",
+                                      "--step", "0.05", "--format", "csv",
+                                      "--out-prefix", "f3"])
+    assert deviation.exit_code == figure.exit_code == 0, (deviation.output,
+                                                          figure.output)
+    assert (dev_dir / "dev.csv").read_bytes() == (dev_dir / "f3.csv").read_bytes()
+    matches = deviation.output.split("wrote")[0]
+    assert json.loads(matches)["code"] == "1111111111"
+    assert figure.output.split("wrote")[0] == matches

@@ -863,6 +863,19 @@ def test_ingest_empty_file_rejected(tmp_path):
         engine.ingest_samples(path)
 
 
+def test_ingest_refuses_more_than_max_shots(tmp_path, monkeypatch):
+    # Repeats count as shots, and comments and blank lines do not.
+    monkeypatch.setattr(engine, "MAX_SHOTS", 5)
+    path = tmp_path / "x.samples"
+    path.write_text("# five\n" + "[0,0,1,0,0,0,1,0]\n\n" * 4 + "[1,0,0,0,1,0,0,0]\n")
+    assert len(engine.ingest_samples(path)) == 5
+    path.write_text("[0,0,1,0,0,0,1,0]\n" * 6)
+    with pytest.raises(SampleFormatError,
+                       match="file holds 6 shots, more than 5") as err:
+        engine.ingest_samples(path)
+    assert err.value.line == 0
+
+
 def test_ingest_checks_threshold_consistency(tmp_path):
     path = tmp_path / "t.samples"
     path.write_text("[0,0,2,0,0,0,2,0]\n")
@@ -1039,7 +1052,6 @@ def test_ingest_reads_writer_form_chunks_without_a_pattern_per_line(
 
     monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk)
     monkeypatch.setattr(engine, "_SHOT_LINE", NoMatch())
-    monkeypatch.setattr(engine, "_SKIP_LINE", NoMatch())
     got = engine.ingest_samples(path)
     assert np.array_equal(got.shots, shots)
     assert_histogram_of(got)
