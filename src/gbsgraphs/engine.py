@@ -666,7 +666,7 @@ def to_threshold(samples: SampleSet) -> SampleSet:
 def meta_path_for(path) -> Path:
     """Companion metadata path: strip the final suffix, append .meta.json."""
     p = Path(path)
-    return p.with_suffix("").with_name(p.with_suffix("").name + ".meta.json")
+    return p.with_name(p.stem + ".meta.json")
 
 
 def write_samples(samples: SampleSet, path) -> tuple[Path, Path]:
@@ -806,11 +806,11 @@ def ingest_samples(path) -> SampleSet:
 
     Each line must be UTF-8 holding a JSON array of exactly 8 nonnegative
     integers summing to at most 2^63 - 1; lines starting with ``#`` and
-    blank lines are skipped, and a file of more than ``MAX_SHOTS`` shots is
-    refused.  Each distinct line is parsed and checked once, at its first
-    occurrence, and repeats reuse that row, so a violation raises with the
-    number of the first line that holds the bad content.
-    The file is read in chunks of whole lines of about ``_CHUNK_BYTES``.
+    blank lines are skipped.  Each distinct line is parsed and checked once,
+    at its first occurrence, so a violation raises with the number of the
+    first line that holds the bad content.  The file is read in chunks of
+    whole lines of about ``_CHUNK_BYTES``, each kept as one row index per
+    shot, and is refused at the chunk whose shots pass ``MAX_SHOTS``.
     When a chunk's new distinct lines are all in the writer's form
     (``write_samples``' ``[c0,...,c7]``, counts below 10^18), one check of
     them joined accepts them all.  Otherwise they are taken one by one in
@@ -828,22 +828,20 @@ def ingest_samples(path) -> SampleSet:
     """
     path = Path(path)
     texts: list[bytes] = []           # distinct shots' counts, as digits and spaces
-    index: dict[bytes, int] = {}      # raw line -> its first line, from 0
-    shot_lines = [np.empty(0, dtype=np.intp)]   # per chunk, the first lines of new shots
-    firsts: list[np.ndarray] = []     # per chunk, each line's first line
-    lineno, skipped = 0, False
+    index: dict[bytes, int] = {}      # raw line -> its row, -1 for a skipped line
+    orders: list[np.ndarray] = []     # per chunk, its shots' rows
+    lineno = rows = shots = 0
     with path.open("rb") as fh:
         while lines := fh.readlines(_CHUNK_BYTES):
-            # setdefault gives a new line its own number and a repeat the
-            # number of its first line, so the lines that keep their own
-            # numbers are the chunk's new distinct lines, in file order.
+            # setdefault gives a line of an earlier chunk its row (or -1) and a
+            # new line its own number, lineno or more, so above every row: the
+            # lines that keep their own numbers are the new distinct lines.
             first = np.fromiter(map(index.setdefault, lines, itertools.count(lineno)),
                                 dtype=np.intp, count=len(lines))
             fresh = np.flatnonzero(first == np.arange(lineno, lineno + len(lines)))
             new = [lines[i] for i in fresh.tolist()]
             if _in_writer_form(new):
-                texts.append(b"".join(new).translate(_DIGITS_ONLY))
-                shot_lines.append(fresh + lineno)
+                found, kept = new, fresh
             else:
                 found, kept = [], []
                 for i, raw in zip(fresh.tolist(), new):
@@ -851,19 +849,25 @@ def ingest_samples(path) -> SampleSet:
                         counts = raw
                     else:
                         value = _parse_line(path, lineno + i + 1, raw)
-                        counts = None if value is None else (
-                            b"%d " * graphs.N_NODES % tuple(value))
-                    if counts is None:
-                        skipped = True
-                    else:
-                        found.append(counts)
-                        kept.append(lineno + i)
-                texts.append(b"".join(found).translate(_DIGITS_ONLY))
-                shot_lines.append(np.array(kept, dtype=np.intp))
-            firsts.append(first)
+                        if value is None:
+                            continue
+                        counts = b"%d " * graphs.N_NODES % tuple(value)
+                    found.append(counts)
+                    kept.append(i)
+            texts.append(b"".join(found).translate(_DIGITS_ONLY))
+            # The row of each new line, by its place in the chunk; -1 if skipped.
+            row_of = np.full(len(lines), -1, dtype=np.intp)
+            row_of[kept] = np.arange(rows, rows + len(found))
+            index.update(zip(new, row_of[fresh].tolist()))
+            own = first >= lineno
+            first[own] = row_of[first[own] - lineno]
+            orders.append(first[first >= 0])
+            rows += len(found)
+            shots += len(orders[-1])
+            if shots > MAX_SHOTS:
+                raise SampleFormatError(
+                    path, 0, f"file holds more than {MAX_SHOTS} shots")
             lineno += len(lines)
-    shot_lines = np.concatenate(shot_lines)
-    rows = len(shot_lines)
     if not rows:
         raise SampleFormatError(path, 0, "file contains no samples")
 
@@ -881,14 +885,5 @@ def ingest_samples(path) -> SampleSet:
     if meta_kwargs.get("threshold") and (distinct > 1).any():
         raise SampleFormatError(
             path, 0, "meta declares threshold samples but counts exceed 1")
-    # Each line's row: the row of its first line, -1 for a skipped line.
-    row_of = np.full(lineno, -1, dtype=np.intp)
-    row_of[shot_lines] = np.arange(rows)
-    order = row_of[np.concatenate(firsts)]
-    del row_of, firsts                # freed before the shots are gathered
-    if skipped:
-        order = order[order >= 0]
-    if len(order) > MAX_SHOTS:
-        raise SampleFormatError(
-            path, 0, f"file holds {len(order)} shots, more than {MAX_SHOTS}")
-    return SampleSet(shots=distinct[order], meta=SampleMeta(**meta_kwargs))
+    return SampleSet(shots=distinct[np.concatenate(orders)],
+                     meta=SampleMeta(**meta_kwargs))

@@ -312,7 +312,7 @@ def test_ingest_refuses_more_than_max_shots(tmp_path, runner, monkeypatch):
     (tmp_path / "x.samples").write_text("[0,0,0,0,0,0,0,1]\n" * 4)
     result = run_in(tmp_path, runner, ["ingest", "x.samples"])
     assert result.exit_code == 2, result.output
-    assert result.output == "Error: x.samples:0: file holds 4 shots, more than 3\n"
+    assert result.output == "Error: x.samples:0: file holds more than 3 shots\n"
 
 
 def test_ingest_empty_file_is_validation_error(tmp_path, runner):

@@ -2,7 +2,11 @@ import gc
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -870,10 +874,49 @@ def test_ingest_refuses_more_than_max_shots(tmp_path, monkeypatch):
     path.write_text("# five\n" + "[0,0,1,0,0,0,1,0]\n\n" * 4 + "[1,0,0,0,1,0,0,0]\n")
     assert len(engine.ingest_samples(path)) == 5
     path.write_text("[0,0,1,0,0,0,1,0]\n" * 6)
-    with pytest.raises(SampleFormatError,
-                       match="file holds 6 shots, more than 5") as err:
+    with pytest.raises(SampleFormatError) as err:
         engine.ingest_samples(path)
+    assert err.value.reason == "file holds more than 5 shots"
     assert err.value.line == 0
+
+
+def test_ingest_refuses_more_than_max_shots_before_reading_on(tmp_path, monkeypatch):
+    # The first 64 KB chunk passes the limit; the bad line after it is not read.
+    monkeypatch.setattr(engine, "MAX_SHOTS", 10)
+    path = tmp_path / "x.samples"
+    path.write_bytes(b"[0,0,1,0,0,0,1,0]\n" * 5_000 + b"[1,2]\n")
+    with pytest.raises(SampleFormatError) as err:
+        engine.ingest_samples(path)
+    assert err.value.reason == "file holds more than 10 shots"
+    assert err.value.line == 0
+
+
+# Ingests argv[1] in a child and prints its shots and the child's peak RSS in
+# MB.  A process's ru_maxrss starts from the peak of the one that forked it,
+# so the child is forked by this small launcher, not by the test process.
+_INGEST_PEAK = """\
+import resource, subprocess, sys
+done = subprocess.run([sys.executable, "-c", "import sys; from gbsgraphs import "
+                       "engine; print(len(engine.ingest_samples(sys.argv[1])))",
+                       sys.argv[1]], capture_output=True, text=True, check=True)
+print(done.stdout, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024)
+"""
+
+
+@pytest.mark.parametrize("skipped", [b"\n", b"# c\n"], ids=["blank", "comment"])
+def test_ingest_holds_no_entry_per_skipped_line(tmp_path, skipped):
+    # No index per skipped line: one shot among 10^7 of them peaks under 150 MB.
+    path = tmp_path / "x.samples"
+    path.write_bytes(b"[0,0,1,0,0,0,1,0]\n" + skipped * 10 ** 7)
+    src = str(Path(engine.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _INGEST_PEAK, str(path)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    path.unlink()
+    shots, peak_mb = map(int, done.stdout.split())
+    assert shots == 1
+    assert peak_mb < 150, f"peak RSS {peak_mb} MB"
 
 
 def test_ingest_checks_threshold_consistency(tmp_path):
@@ -918,6 +961,7 @@ _A, _B = b"[0,0,1,0,0,0,1,0]", b"[1,0,0,0,1,0,0,0]"
     b"# h\n" + _A + b"\n# h",
     (_A + b"\n") * 70_000 + b"[0,0,0]\n" + _B + b"\n",
     _B + b"\n" + (_A + b"\n") * 70_000 + _B + b"\n",
+    (b"# h\n\n" + _A + b"\n") * 30_000,
 ], ids=["repeats", "bad-first", "bad-middle-repeated", "negative-repeated",
         "comments-and-blanks", "crlf", "no-final-newline", "invalid-utf8",
         "invalid-utf8-first", "no-samples", "too-many-digits", "18-digits",
@@ -925,7 +969,7 @@ _A, _B = b"[0,0,1,0,0,0,1,0]", b"[1,0,0,0,1,0,0,0]"
         "space-in-count", "double-bracket", "tabs", "tab-crlf", "form-feed",
         "nul", "utf8-comment", "invalid-utf8-comment",
         "repeat-without-final-newline", "comment-without-final-newline",
-        "bad-past-1mib", "repeat-across-1mib"])
+        "bad-past-1mib", "repeat-across-1mib", "skipped-repeats-across-chunks"])
 def test_ingest_matches_per_line_oracle(tmp_path, content):
     path = tmp_path / "x.samples"
     path.write_bytes(content)
@@ -1074,3 +1118,11 @@ def test_build_table_and_ingest_leave_no_cyclic_garbage(tmp_path, k44_spec):
 def test_meta_path_convention():
     assert engine.meta_path_for("runs/a.samples").name == "a.meta.json"
     assert engine.meta_path_for("runs/a").name == "a.meta.json"
+    for path, meta in [("x.tar.gz", "x.tar.meta.json"), (".hidden", ".hidden.meta.json"),
+                       ("d/.hidden.samples", "d/.hidden.meta.json"),
+                       ("x..samples", "x..meta.json"), ("a.b.", "a.b..meta.json"),
+                       ("..", "...meta.json"), ("x/", "x.meta.json")]:
+        assert engine.meta_path_for(path) == Path(meta)
+    for path in [".", ""]:
+        with pytest.raises(ValueError):
+            engine.meta_path_for(path)
