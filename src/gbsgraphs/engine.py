@@ -759,12 +759,22 @@ def _parse_line(path: Path, lineno: int, raw: bytes) -> list[int] | None:
     return value
 
 
-#: Shot lines ``ingest_samples`` reads without the JSON parser when their
-#: chunk is not all in the writer's form: counts of at most 18 digits with
-#: JSON spaces and tabs, whose only digits are its counts.
-_COUNT = rb"[ \t]*(?:0|[1-9][0-9]{0,17})[ \t]*"
+#: A count below 10^18 as ``json.loads`` reads it, so 8 of them sum to less
+#: than 2^63 - 1.  The patterns built on it repeat possessively (``{0,17}+``,
+#: ``*+``): a failed match gives nothing back to retry, so each check is
+#: linear in its input.
+_COUNT = rb"(?:0|[1-9][0-9]{0,17}+)"
+
+#: A shot line ``ingest_samples`` reads without the JSON parser when its
+#: chunk is not all in the writer's form; its only digits are its counts.
 _SHOT_LINE = re.compile(
-    rb"[ \t]*\[" + rb",".join([_COUNT] * graphs.N_NODES) + rb"\][ \t\r]*\n")
+    rb"[ \t]*+\["
+    + rb",".join([rb"[ \t]*+" + _COUNT + rb"[ \t]*+"] * graphs.N_NODES)
+    + rb"\][ \t\r]*+\n")
+
+#: Lines in the writer's form, as ``write_samples`` renders them.
+_WRITER_BLOCK = re.compile(
+    rb"(?:\[" + rb",".join([_COUNT] * graphs.N_NODES) + rb"\]\n)*+")
 
 #: Maps every byte but an ASCII digit to a space.
 _DIGITS_ONLY = bytes(b if b in b"0123456789" else 32 for b in range(256))
@@ -772,33 +782,9 @@ _DIGITS_ONLY = bytes(b if b in b"0123456789" else 32 for b in range(256))
 #: Size hint, in bytes, of the whole lines ``ingest_samples`` reads at a time.
 _CHUNK_BYTES = 1 << 16
 
-#: A line is in the writer's form, ``[c0,...,c7]\n`` with each count its own
-#: ``%d`` rendering below 10^18, when without its digits it is
-#: ``_WRITER_SKELETON`` and its counts are neither empty, nor led by a zero
-#: and more digits, nor 19 digits or more, and no digit stands before ``[``
-#: or after ``]``.  Two byte maps show these faults as a few substrings:
-#: ``_OPENERS`` reads ``[`` and ``,`` as ``a`` and 1-9 as 1, so a leading zero
-#: is ``a00`` or ``a01``; ``_SEPARATORS`` reads ``[``, ``,`` and ``]`` as
-#: ``a``, the newline as ``z`` and every digit as 1, so an empty count is
-#: ``aa``, a digit before ``[`` is ``z1`` (or a first byte of 1), one after
-#: ``]`` is ``1z``, and a long count is nineteen 1s.
-_WRITER_SKELETON = b"[" + b"," * (graphs.N_NODES - 1) + b"]\n"
-_OPENERS = bytes.maketrans(b"[,123456789", b"aa111111111")
-_SEPARATORS = bytes.maketrans(b"[,]\n0123456789", b"aaaz1111111111")
-
 
 def _in_writer_form(lines: list[bytes]) -> bool:
-    # Whether every line is in the writer's form: a few C-level passes over
-    # the lines joined, as each line holds one newline, at its end.
-    block = b"".join(lines)
-    if block.translate(None, b"0123456789") != _WRITER_SKELETON * len(lines):
-        return False
-    openers = block.translate(_OPENERS)
-    if b"a00" in openers or b"a01" in openers:
-        return False
-    marked = block.translate(_SEPARATORS)
-    return not (marked.startswith(b"1") or b"aa" in marked or b"z1" in marked
-                or b"1z" in marked or b"1" * 19 in marked)
+    return _WRITER_BLOCK.fullmatch(b"".join(lines)) is not None
 
 
 def ingest_samples(path) -> SampleSet:
@@ -812,11 +798,12 @@ def ingest_samples(path) -> SampleSet:
     whole lines of about ``_CHUNK_BYTES``, each kept as one row index per
     shot, and is refused at the chunk whose shots pass ``MAX_SHOTS``.
     When a chunk's new distinct lines are all in the writer's form
-    (``write_samples``' ``[c0,...,c7]``, counts below 10^18), one check of
-    them joined accepts them all.  Otherwise they are taken one by one in
-    the order they first occur: a shot with counts of at most 18 digits and
-    only spaces and tabs around them skips the JSON parser, and every other
-    line, comments and blank lines too, goes to ``_parse_line``.
+    (``write_samples``' ``[c0,...,c7]``, counts below 10^18), one pass of
+    the writer's grammar over them joined accepts them all.  Otherwise they
+    are taken one by one in the order they first occur: a shot with counts
+    of at most 18 digits and only spaces and tabs around them skips the
+    JSON parser, and every other line, comments and blank lines too, goes
+    to ``_parse_line``.
     Either way a line has the value ``json.loads`` gives it, as JSON
     forbids leading zeros and 8 counts below 10^18 sum to less than
     2^63 - 1, and a bad line raises before the next chunk is read.  The

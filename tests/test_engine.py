@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -1057,8 +1058,26 @@ def _sample_line(draw):
 def test_writer_form_check_agrees_with_its_definition(lines):
     for line in lines:
         assert engine._in_writer_form([line]) == _in_writer_form_by_definition(line)
+        # The writer's form is a subset of the JSON-spaced form.
+        assert not engine._in_writer_form([line]) or engine._SHOT_LINE.fullmatch(line)
     assert engine._in_writer_form(lines) == all(map(_in_writer_form_by_definition,
                                                     lines))
+
+
+def test_shot_line_checks_refuse_near_misses_in_linear_time():
+    # Inputs that would make a backtracking pattern retry each prefix.
+    near_misses = [
+        (b"[12,0,345,6,0,0,78,9]\n" * 3_600 + b"[0,0,0,0,0,0,0,0]x\n") * 13,
+        b"7" * (1 << 20),
+        b"[" * (1 << 16),
+        b"[" + b"1" * 30_000 + b",0,0,0,0,0,0,0]\n",
+        b"[" + b"," * 60_000 + b"]\n",
+    ]
+    start = time.perf_counter()
+    for text in near_misses:
+        assert not engine._in_writer_form(text.splitlines(True))
+        assert not engine._SHOT_LINE.fullmatch(text)
+    assert time.perf_counter() - start < 2.0
 
 
 @given(lines=st.lists(_sample_line(), min_size=1, max_size=6),
