@@ -40,7 +40,7 @@ MAX_PERMANENT_SIZE = 16
 DEFAULT_CUTOFF_PAIRS = 8
 
 #: Most shots one ``sample`` call draws: 100x the paper's 100k per graph, and
-#: 640 MB of int64 counts in one ``SampleSet``.
+#: 640 MB of int64 counts in one ``SampleSet`` until its histogram is read.
 MAX_SHOTS = 10 ** 7
 
 _SECH = 1.0 / math.cosh(SQUEEZING)
@@ -557,57 +557,86 @@ class SampleMeta:
     threshold: bool = False
 
 
-def _unique_rows(rows: np.ndarray, return_inverse: bool = False) -> tuple:
-    """``np.unique(rows, axis=0, return_inverse=..., return_counts=True)``,
-    the distinct rows as uint8 when every count lies in [0, 256).
+def _unique_rows(rows: np.ndarray) -> tuple:
+    """``np.unique(rows, axis=0, return_inverse=True, return_counts=True)``
+    with a flat inverse, the distinct rows as uint8 when every count lies
+    in [0, 256).
 
     Such rows are keyed as one uint64 each, column 0 most significant, so
     the keys sort as the rows do.
     """
     if rows.size and 0 <= rows.min() and rows.max() < 256:
         keys = rows[:, ::-1].astype(np.uint8, order="C").view("<u8").ravel()
-        if return_inverse:
-            keys, *rest = np.unique(keys, return_inverse=True, return_counts=True)
-        else:
-            # Sorted in place, where np.unique would sort a copy of the keys.
-            keys.sort()
-            starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
-            rest = [np.diff(starts, append=len(keys))]
-            keys = keys[starts]
+        keys, inverse, counts = np.unique(keys, return_inverse=True,
+                                          return_counts=True)
         distinct = keys.view(np.uint8).reshape(-1, rows.shape[1])[:, ::-1].copy()
     else:
-        distinct, *rest = np.unique(rows, axis=0, return_inverse=return_inverse,
-                                    return_counts=True)
-    return distinct, *rest
+        distinct, inverse, counts = np.unique(rows, axis=0, return_inverse=True,
+                                              return_counts=True)
+    return distinct, inverse.ravel(), counts
 
 
-@dataclass(frozen=True, eq=False)
+def _row_dtype(count: int) -> np.dtype:
+    # The smallest unsigned dtype that numbers ``count`` rows.
+    return np.min_scalar_type(max(count - 1, 0))
+
+
 class SampleSet:
-    """An ordered collection of detected patterns plus provenance."""
+    """An ordered collection of detected patterns plus provenance, read-only.
 
-    shots: np.ndarray                 # (N, 8) int64
-    meta: SampleMeta
+    ``SampleSet(shots=..., meta=...)`` holds the (N, 8) int64 shots it is
+    given, 64 bytes a shot, until ``histogram`` is first read.  From then on
+    it holds only the histogram and each shot's row in it, in the smallest
+    unsigned dtype that fits the row count (1 byte a shot up to 256 rows, 2
+    up to 65,536), and ``shots`` gathers a fresh int64 array from the two.
+    The shots must not change after the set is built.
+    """
+
+    __slots__ = ("meta", "_shots", "_histogram", "_rows", "__weakref__")
+
+    def __init__(self, shots: np.ndarray | None, meta: SampleMeta):
+        for name, value in (("meta", meta), ("_shots", shots),
+                            ("_histogram", None), ("_rows", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a SampleSet is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a SampleSet is read-only")
 
     def __len__(self) -> int:
-        return len(self.shots)
+        return len(self._rows if self._shots is None else self._shots)
 
-    @functools.cached_property
+    @property
+    def shots(self) -> np.ndarray:
+        """The (N, 8) int64 shots in order: the array the set was built
+        with, or once the histogram was read, a fresh one gathered from it."""
+        if self._shots is not None:
+            return self._shots
+        return self._histogram[0].astype(np.int64)[self._rows]
+
+    @property
     def histogram(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct shots in ascending lexicographic order and how many
         shots equal each, as ``np.unique(shots, axis=0, return_counts=True)``
         gives them: read-only, with uint8 rows when every count lies in
-        [0, 256).  Computed on first use unless ``write_samples`` supplied
-        it, so the shots must not change after."""
-        return _supply_histogram(self, *_unique_rows(self.shots))
+        [0, 256).  Made once, on first use, unless the set was built from
+        it, as ``ingest_samples`` builds its sets."""
+        if self._histogram is None:
+            distinct, rows, counts = _unique_rows(self._shots)
+            self._hold(distinct, counts, rows)
+        return self._histogram
 
-
-def _supply_histogram(samples: SampleSet, distinct: np.ndarray,
-                      counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Fill the cache of ``samples.histogram`` (a frozen dataclass) with the
-    # two arrays, made read-only, and return them.
-    distinct.flags.writeable = counts.flags.writeable = False
-    object.__setattr__(samples, "histogram", (distinct, counts))
-    return distinct, counts
+    def _hold(self, distinct: np.ndarray, counts: np.ndarray,
+              rows: np.ndarray) -> None:
+        # Keep the histogram, made read-only, and each shot's row in it in
+        # place of the shots.
+        distinct.flags.writeable = counts.flags.writeable = False
+        rows = rows.astype(_row_dtype(len(distinct)), copy=False)
+        for name, value in (("_histogram", (distinct, counts)), ("_rows", rows),
+                            ("_shots", None)):
+            object.__setattr__(self, name, value)
 
 
 def sample(spec: EmbeddingSpec, shots: int,
@@ -645,9 +674,10 @@ def apply_loss(samples: SampleSet, loss: LossModel,
     rng = np.random.default_rng(seed)
     # numpy draws no variate for a count of 0, so thinning only the nonzero
     # counts, in row-major order, consumes the stream as thinning them all.
-    nonzero = samples.shots != 0
-    thinned = np.zeros(samples.shots.shape, dtype=np.int64)
-    thinned[nonzero] = rng.binomial(samples.shots[nonzero], loss.eta)
+    shots = samples.shots
+    nonzero = shots != 0
+    thinned = np.zeros(shots.shape, dtype=np.int64)
+    thinned[nonzero] = rng.binomial(shots[nonzero], loss.eta)
     prior = samples.meta.loss if samples.meta.loss is not None else 1.0
     return SampleSet(shots=thinned,
                      meta=replace(samples.meta, loss=prior * loss.eta))
@@ -672,16 +702,15 @@ def meta_path_for(path) -> Path:
 def write_samples(samples: SampleSet, path) -> tuple[Path, Path]:
     """Write one JSON-array shot per line, plus the companion meta file.
 
-    Each distinct row is formatted once, and the shots' lines are joined by
-    its index.  The distinct rows and their counts fill the cache of
-    ``samples.histogram``.
+    Each row of ``samples.histogram`` is formatted once, and the shots'
+    lines are joined by their row numbers: from here on the set holds its
+    histogram and one row number a shot (see ``SampleSet``), not its shots.
     """
     path = Path(path)
-    distinct, index, counts = _unique_rows(samples.shots, return_inverse=True)
-    _supply_histogram(samples, distinct, counts)
+    distinct = samples.histogram[0]
     row = "[" + ",".join(["%d"] * graphs.N_NODES) + "]\n"
     lines = ((row * len(distinct)) % tuple(distinct.ravel().tolist())).splitlines(True)
-    text = "".join(np.array(lines, dtype=object)[index.ravel()].tolist())
+    text = "".join(np.array(lines, dtype=object)[samples._rows].tolist())
     path.write_text(text or "\n", encoding="utf-8")
     meta_path = meta_path_for(path)
     meta_path.write_text(
@@ -695,6 +724,10 @@ def write_samples(samples: SampleSet, path) -> tuple[Path, Path]:
 #: ``json.loads`` raise a plain ValueError.
 _TOO_MANY_DIGITS = (f"an integer has more than {sys.get_int_max_str_digits()} "
                     "digits")
+
+#: Reason given for JSON nested past the interpreter's recursion limit, which
+#: makes ``json.loads`` raise RecursionError.
+_TOO_DEEP = "JSON nested too deeply"
 
 # Accepted meta values; type(), as JSON true/false load as bool, an int subclass.
 _META_RULES = {
@@ -715,6 +748,8 @@ def _read_meta(meta_path: Path) -> dict:
         raise SampleFormatError(meta_path, exc.lineno, f"invalid JSON ({exc.msg})")
     except ValueError:    # Python's int-string limit, not a JSON error
         raise SampleFormatError(meta_path, 0, _TOO_MANY_DIGITS)
+    except RecursionError:
+        raise SampleFormatError(meta_path, 0, _TOO_DEEP)
     if not isinstance(stored, dict):
         raise SampleFormatError(
             meta_path, 0, f"expected a JSON object, got {type(stored).__name__}")
@@ -744,6 +779,8 @@ def _parse_line(path: Path, lineno: int, raw: bytes) -> list[int] | None:
         raise SampleFormatError(path, lineno, f"invalid JSON ({exc.msg})")
     except ValueError:    # Python's int-string limit, not a JSON error
         raise SampleFormatError(path, lineno, _TOO_MANY_DIGITS)
+    except RecursionError:
+        raise SampleFormatError(path, lineno, _TOO_DEEP)
     if not isinstance(value, list) or len(value) != graphs.N_NODES:
         raise SampleFormatError(
             path, lineno,
@@ -808,7 +845,9 @@ def ingest_samples(path) -> SampleSet:
     forbids leading zeros and 8 counts below 10^18 sum to less than
     2^63 - 1, and a bad line raises before the next chunk is read.  The
     counts of all distinct shot lines are converted in one
-    ``numpy.fromstring`` call, exact over int64.
+    ``numpy.fromstring`` call, exact over int64.  The set is built as its
+    histogram and one row number per shot (see ``SampleSet``), 1 or 2
+    bytes a shot for the few thousand patterns of a lossy file.
     The meta file must be a UTF-8 JSON object whose ``code`` is null or a
     valid graph code and whose ``loss``, ``seed`` and ``threshold`` keep
     ``_META_RULES``; other keys are ignored.
@@ -868,9 +907,14 @@ def ingest_samples(path) -> SampleSet:
     # while parsing, it fragments the heap and peak RSS climbs file by file.
     flat = np.fromstring(b"".join(texts), dtype=np.int64,
                          count=rows * graphs.N_NODES, sep=" ")
-    distinct = flat.reshape(rows, graphs.N_NODES)
-    if meta_kwargs.get("threshold") and (distinct > 1).any():
+    parsed = flat.reshape(rows, graphs.N_NODES)
+    if meta_kwargs.get("threshold") and (parsed > 1).any():
         raise SampleFormatError(
             path, 0, "meta declares threshold samples but counts exceed 1")
-    return SampleSet(shots=distinct[np.concatenate(orders)],
-                     meta=SampleMeta(**meta_kwargs))
+    # Two spellings of one pattern are two distinct lines but one row of the
+    # histogram; the shots are never gathered.
+    distinct, line_rows, _ = _unique_rows(parsed)
+    shot_rows = line_rows.astype(_row_dtype(len(distinct)))[np.concatenate(orders)]
+    samples = SampleSet(None, SampleMeta(**meta_kwargs))
+    samples._hold(distinct, np.bincount(shot_rows, minlength=len(distinct)), shot_rows)
+    return samples

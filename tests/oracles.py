@@ -196,6 +196,8 @@ def ingest_samples_per_line(path) -> np.ndarray:
                 raise SampleFormatError(
                     path, lineno, "an integer has more than "
                     f"{sys.get_int_max_str_digits()} digits")
+            except RecursionError:
+                raise SampleFormatError(path, lineno, "JSON nested too deeply")
             if not isinstance(value, list) or len(value) != graphs.N_NODES:
                 raise SampleFormatError(
                     path, lineno,

@@ -315,6 +315,20 @@ def test_ingest_refuses_more_than_max_shots(tmp_path, runner, monkeypatch):
     assert result.output == "Error: x.samples:0: file holds more than 3 shots\n"
 
 
+@pytest.mark.parametrize("sample, meta, where", [
+    (b"[" * 1_200 + b"\n", None, "x.samples:2"),
+    (b"", b"[" * 5_000, "x.meta.json:0"),
+], ids=["sample-line", "meta-file"])
+def test_ingest_nesting_past_the_recursion_limit_is_validation_error(
+        tmp_path, runner, sample, meta, where):
+    (tmp_path / "x.samples").write_bytes(b"[0,0,1,0,0,0,1,0]\n" + sample)
+    if meta is not None:
+        (tmp_path / "x.meta.json").write_bytes(meta)
+    result = run_in(tmp_path, runner, ["ingest", "x.samples"])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.output == f"Error: {where}: JSON nested too deeply\n"
+
+
 def test_ingest_empty_file_is_validation_error(tmp_path, runner):
     empty = tmp_path / "empty.samples"
     empty.write_text("")

@@ -920,6 +920,39 @@ def test_ingest_holds_no_entry_per_skipped_line(tmp_path, skipped):
     assert peak_mb < 150, f"peak RSS {peak_mb} MB"
 
 
+def test_ingested_set_keeps_its_histogram_not_its_shots(tmp_path, k44_spec):
+    # 200,000 shots as int64 rows are 12.8 MB; as a histogram and one row
+    # number per shot they are a few hundred KB.
+    drawn = engine.apply_loss(engine.sample(k44_spec, 200_000, seed=66),
+                              engine.LossModel(0.55), seed=67)
+    path = tmp_path / "x.samples"
+    engine.write_samples(drawn, path)
+    tracemalloc.start()
+    try:
+        samples = engine.ingest_samples(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 200_000
+    assert held < 2 * 10 ** 6, f"{held} bytes held"
+
+
+@pytest.mark.parametrize("depth", [1_200, 64 * 1024])
+def test_ingest_refuses_nesting_past_the_recursion_limit(tmp_path, depth):
+    path = tmp_path / "x.samples"
+    path.write_bytes(b"[0,0,1,0,0,0,1,0]\n" + b"[" * depth + b"\n")
+    with pytest.raises(SampleFormatError) as err:
+        engine.ingest_samples(path)
+    assert (err.value.line, err.value.reason) == (2, "JSON nested too deeply")
+    path.write_bytes(b"[0,0,1,0,0,0,1,0]\n")
+    engine.meta_path_for(path).write_bytes(b"[" * 5_000)
+    with pytest.raises(SampleFormatError) as err:
+        engine.ingest_samples(path)
+    assert (err.value.line, err.value.reason) == (0, "JSON nested too deeply")
+    assert err.value.path == str(engine.meta_path_for(path))
+
+
 def test_ingest_checks_threshold_consistency(tmp_path):
     path = tmp_path / "t.samples"
     path.write_text("[0,0,2,0,0,0,2,0]\n")

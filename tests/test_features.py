@@ -169,7 +169,7 @@ def _assert_vectors_match_per_shot_oracle(samples):
 
 def test_sampled_vectors_match_per_shot_oracle_bit_for_bit(embeddable, tmp_path):
     # All 75 graphs, each set as sampled (histogram made on first use),
-    # written (histogram supplied by write_samples) and ingested.
+    # written (histogram made by write_samples) and ingested (built from it).
     for i, (code, spec) in enumerate(embeddable):
         drawn = engine.apply_loss(engine.sample(spec, 1_500, seed=2 * i),
                                   LossModel(0.55), seed=2 * i + 1)
@@ -198,16 +198,30 @@ def test_histogram_merges_spellings_of_one_pattern(tmp_path, big):
     _assert_vectors_match_per_shot_oracle(samples)
 
 
-def test_histogram_is_computed_once_or_supplied_by_write_samples(
-        tmp_path, specs_by_code):
-    drawn = engine.sample(specs_by_code["1111111111"], 2_000, seed=54)
-    fresh = SampleSet(shots=drawn.shots, meta=drawn.meta)
-    assert "histogram" not in vars(drawn)
+def test_histogram_is_made_once_and_then_stands_for_the_shots(
+        tmp_path, specs_by_code, monkeypatch):
+    # sample -> apply_loss -> write_samples sorts the shots once; after that
+    # the set holds its histogram and a row number per shot, and gathers
+    # its shots from them.
+    sorts = []
+    unique_rows = engine._unique_rows
+    monkeypatch.setattr(engine, "_unique_rows",
+                        lambda rows: sorts.append(len(rows)) or unique_rows(rows))
+    drawn = engine.apply_loss(engine.sample(specs_by_code["1111111111"], 2_000, seed=54),
+                              LossModel(0.55), seed=55)
+    want = drawn.shots.copy()
     engine.write_samples(drawn, tmp_path / "x.samples")
-    assert "histogram" in vars(drawn)
-    assert fresh.histogram is fresh.histogram
-    for samples in (drawn, fresh):
+    assert sorts == [2_000]
+    fresh = SampleSet(shots=want.copy(), meta=drawn.meta)
+    for samples, calls in ((drawn, [2_000]), (fresh, [2_000, 2_000])):
+        histogram = samples.histogram
+        assert samples.histogram is histogram and sorts == calls
+        shots = samples.shots
+        assert shots.dtype == np.int64 and np.array_equal(shots, want)
+        assert len(samples) == 2_000
         assert_histogram_of(samples)
+    with pytest.raises(AttributeError):
+        drawn.meta = fresh.meta
 
 
 def test_sampled_events_match_analytic_within_4_sigma(specs_by_code):
