@@ -39,8 +39,9 @@ MAX_PERMANENT_SIZE = 16
 #: Default table truncation, in photon pairs (16 photons).
 DEFAULT_CUTOFF_PAIRS = 8
 
-#: Most shots one ``sample`` call draws: 100x the paper's 100k per graph, and
-#: 640 MB of int64 counts in one ``SampleSet`` until its histogram is read.
+#: Most shots one ``sample`` call draws: 100x the paper's 100k per graph.  It
+#: draws them as 640 MB of int64 counts; the ``SampleSet`` it returns keeps 1
+#: or 2 bytes a shot.
 MAX_SHOTS = 10 ** 7
 
 _SECH = 1.0 / math.cosh(SQUEEZING)
@@ -581,62 +582,44 @@ def _row_dtype(count: int) -> np.dtype:
     return np.min_scalar_type(max(count - 1, 0))
 
 
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """An ordered collection of detected patterns plus provenance, read-only.
 
-    ``SampleSet(shots=..., meta=...)`` holds the (N, 8) int64 shots it is
-    given, 64 bytes a shot, until ``histogram`` is first read.  From then on
-    it holds only the histogram and each shot's row in it, in the smallest
-    unsigned dtype that fits the row count (1 byte a shot up to 256 rows, 2
-    up to 65,536), and ``shots`` gathers a fresh int64 array from the two.
-    The shots must not change after the set is built.
+    ``histogram`` is the distinct shots in ascending lexicographic order and
+    how many shots equal each, as ``np.unique(shots, axis=0,
+    return_counts=True)`` gives them, with uint8 rows when every count lies
+    in [0, 256).  ``rows`` is each shot's row in it, in order, in the
+    smallest unsigned dtype that numbers the rows (``_row_dtype``: 1 byte a
+    shot up to 256 rows, 2 up to 65,536).  The arrays are made read-only.
+    ``SampleSet.of(shots, meta)`` builds a set from (N, 8) counts.
     """
 
-    __slots__ = ("meta", "_shots", "_histogram", "_rows", "__weakref__")
+    # Written out, not ``slots=True``: that copies the class, and on Python
+    # 3.11 the copy raises TypeError, not AttributeError, on setting a name
+    # that is not a field.
+    __slots__ = ("histogram", "rows", "meta", "__weakref__")
+    histogram: tuple[np.ndarray, np.ndarray]
+    rows: np.ndarray
+    meta: SampleMeta
 
-    def __init__(self, shots: np.ndarray | None, meta: SampleMeta):
-        for name, value in (("meta", meta), ("_shots", shots),
-                            ("_histogram", None), ("_rows", None)):
-            object.__setattr__(self, name, value)
+    def __post_init__(self):
+        for array in (*self.histogram, self.rows):
+            array.flags.writeable = False
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: a SampleSet is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a SampleSet is read-only")
+    @classmethod
+    def of(cls, shots: np.ndarray, meta: SampleMeta) -> SampleSet:
+        """The set of (N, 8) counts ``shots``, which it does not keep."""
+        distinct, rows, counts = _unique_rows(shots)
+        return cls((distinct, counts), rows.astype(_row_dtype(len(distinct))), meta)
 
     def __len__(self) -> int:
-        return len(self._rows if self._shots is None else self._shots)
+        return len(self.rows)
 
     @property
     def shots(self) -> np.ndarray:
-        """The (N, 8) int64 shots in order: the array the set was built
-        with, or once the histogram was read, a fresh one gathered from it."""
-        if self._shots is not None:
-            return self._shots
-        return self._histogram[0].astype(np.int64)[self._rows]
-
-    @property
-    def histogram(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct shots in ascending lexicographic order and how many
-        shots equal each, as ``np.unique(shots, axis=0, return_counts=True)``
-        gives them: read-only, with uint8 rows when every count lies in
-        [0, 256).  Made once, on first use, unless the set was built from
-        it, as ``ingest_samples`` builds its sets."""
-        if self._histogram is None:
-            distinct, rows, counts = _unique_rows(self._shots)
-            self._hold(distinct, counts, rows)
-        return self._histogram
-
-    def _hold(self, distinct: np.ndarray, counts: np.ndarray,
-              rows: np.ndarray) -> None:
-        # Keep the histogram, made read-only, and each shot's row in it in
-        # place of the shots.
-        distinct.flags.writeable = counts.flags.writeable = False
-        rows = rows.astype(_row_dtype(len(distinct)), copy=False)
-        for name, value in (("_histogram", (distinct, counts)), ("_rows", rows),
-                            ("_shots", None)):
-            object.__setattr__(self, name, value)
+        """The (N, 8) int64 shots in order, a fresh array on every read."""
+        return self.histogram[0].astype(np.int64)[self.rows]
 
 
 def sample(spec: EmbeddingSpec, shots: int,
@@ -659,7 +642,7 @@ def sample(spec: EmbeddingSpec, shots: int,
             out[:, modes] = rng.multinomial(pairs, [1.0 / len(modes)] * len(modes))
     if isinstance(seed, np.random.SeedSequence):
         seed = seed.entropy
-    return SampleSet(shots=out, meta=SampleMeta("simulated", spec.code, seed))
+    return SampleSet.of(out, SampleMeta("simulated", spec.code, seed))
 
 
 def apply_loss(samples: SampleSet, loss: LossModel,
@@ -674,19 +657,18 @@ def apply_loss(samples: SampleSet, loss: LossModel,
     rng = np.random.default_rng(seed)
     # numpy draws no variate for a count of 0, so thinning only the nonzero
     # counts, in row-major order, consumes the stream as thinning them all.
-    shots = samples.shots
+    # A thinned count never grows, so it fits the histogram's dtype.
+    shots = samples.histogram[0][samples.rows]
     nonzero = shots != 0
-    thinned = np.zeros(shots.shape, dtype=np.int64)
-    thinned[nonzero] = rng.binomial(shots[nonzero], loss.eta)
+    shots[nonzero] = rng.binomial(shots[nonzero], loss.eta)
     prior = samples.meta.loss if samples.meta.loss is not None else 1.0
-    return SampleSet(shots=thinned,
-                     meta=replace(samples.meta, loss=prior * loss.eta))
+    return SampleSet.of(shots, replace(samples.meta, loss=prior * loss.eta))
 
 
 def to_threshold(samples: SampleSet) -> SampleSet:
     """Clamp every count to {0, 1} (click/no-click detection)."""
-    return SampleSet(shots=np.minimum(samples.shots, 1),
-                     meta=replace(samples.meta, threshold=True))
+    return SampleSet.of(np.minimum(samples.shots, 1),
+                        replace(samples.meta, threshold=True))
 
 
 # ---------------------------------------------------------------------------
@@ -703,14 +685,13 @@ def write_samples(samples: SampleSet, path) -> tuple[Path, Path]:
     """Write one JSON-array shot per line, plus the companion meta file.
 
     Each row of ``samples.histogram`` is formatted once, and the shots'
-    lines are joined by their row numbers: from here on the set holds its
-    histogram and one row number a shot (see ``SampleSet``), not its shots.
+    lines are joined by ``samples.rows``; the shots are never gathered.
     """
     path = Path(path)
     distinct = samples.histogram[0]
     row = "[" + ",".join(["%d"] * graphs.N_NODES) + "]\n"
     lines = ((row * len(distinct)) % tuple(distinct.ravel().tolist())).splitlines(True)
-    text = "".join(np.array(lines, dtype=object)[samples._rows].tolist())
+    text = "".join(np.array(lines, dtype=object)[samples.rows].tolist())
     path.write_text(text or "\n", encoding="utf-8")
     meta_path = meta_path_for(path)
     meta_path.write_text(
@@ -845,9 +826,9 @@ def ingest_samples(path) -> SampleSet:
     forbids leading zeros and 8 counts below 10^18 sum to less than
     2^63 - 1, and a bad line raises before the next chunk is read.  The
     counts of all distinct shot lines are converted in one
-    ``numpy.fromstring`` call, exact over int64.  The set is built as its
-    histogram and one row number per shot (see ``SampleSet``), 1 or 2
-    bytes a shot for the few thousand patterns of a lossy file.
+    ``numpy.fromstring`` call, exact over int64.  The set is built straight
+    from its histogram and one row number per shot (see ``SampleSet``), 1
+    or 2 bytes a shot for the few thousand patterns of a lossy file.
     The meta file must be a UTF-8 JSON object whose ``code`` is null or a
     valid graph code and whose ``loss``, ``seed`` and ``threshold`` keep
     ``_META_RULES``; other keys are ignored.
@@ -915,6 +896,5 @@ def ingest_samples(path) -> SampleSet:
     # histogram; the shots are never gathered.
     distinct, line_rows, _ = _unique_rows(parsed)
     shot_rows = line_rows.astype(_row_dtype(len(distinct)))[np.concatenate(orders)]
-    samples = SampleSet(None, SampleMeta(**meta_kwargs))
-    samples._hold(distinct, np.bincount(shot_rows, minlength=len(distinct)), shot_rows)
-    return samples
+    return SampleSet((distinct, np.bincount(shot_rows, minlength=len(distinct))),
+                     shot_rows, SampleMeta(**meta_kwargs))

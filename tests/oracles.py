@@ -458,7 +458,7 @@ def ingest_report_per_shot(path) -> dict:
     fields come from the package."""
     shots = ingest_samples_per_line(path)
     meta = engine.ingest_samples(path).meta
-    samples = engine.SampleSet(shots=shots, meta=meta)
+    samples = engine.SampleSet.of(shots=shots, meta=meta)
     totals = shots.sum(axis=1)
     observed, counts = np.unique(totals, return_counts=True)
     if shots.max() <= (2 ** 63 - 1) // len(shots):

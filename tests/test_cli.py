@@ -400,7 +400,7 @@ def test_ingest_report_matches_per_shot_oracle_byte_for_byte(
     if kind == "wrapping-columns":
         shots = np.array([[2 ** 62, 1, 0, 0, 0, 0, 0, 2]] * 2 + [[1] * 8] * 3)
     path = tmp_path / "s.samples"
-    engine.write_samples(engine.SampleSet(shots=shots, meta=drawn.meta), path)
+    engine.write_samples(engine.SampleSet.of(shots=shots, meta=drawn.meta), path)
     if kind.startswith("irregular"):
         path.write_text(_irregular_sample_text(shots, rng), encoding="utf-8")
     monkeypatch.chdir(tmp_path)

@@ -745,6 +745,28 @@ def test_thinning_equals_dense_thinning_at_the_pipeline_seeds(embeddable):
         assert got.dtype == np.int64 and np.array_equal(got, want), code
 
 
+@pytest.mark.parametrize("case", ["int64-rows", "thinned-twice"])
+def test_thinning_equals_dense_thinning_of_wide_and_rethinned_sets(k44_spec, case):
+    # apply_loss thins the gathered histogram rows in their own dtype: int64
+    # when a count reaches 256, and uint8 for a set thinned before.
+    drawn = engine.sample(k44_spec, 2_000, seed=71)
+    first, second = np.random.SeedSequence(72).spawn(2)
+    if case == "int64-rows":
+        shots = drawn.shots
+        shots[::50, 2] = 300
+        shots[7, 5] = 2 ** 40
+        wide = engine.SampleSet.of(shots=shots, meta=drawn.meta)
+        assert wide.histogram[0].dtype == np.int64
+        got = engine.apply_loss(wide, engine.LossModel(0.55), first).shots
+        want = np.random.default_rng(first).binomial(shots, 0.55)
+    else:
+        once = engine.apply_loss(drawn, engine.LossModel(0.8), first)
+        got = engine.apply_loss(once, engine.LossModel(0.55), second).shots
+        want = np.random.default_rng(second).binomial(
+            np.random.default_rng(first).binomial(drawn.shots, 0.8), 0.55)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_loss_composes_multiplicatively(k44_spec):
     out = engine.sample(k44_spec, 100, seed=1)
     once = engine.apply_loss(out, engine.LossModel(0.8), seed=2)
@@ -770,7 +792,7 @@ def test_threshold_clamps_and_is_idempotent(k44_spec):
 
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=8, max_size=8))
 def test_threshold_of_single_pattern(counts):
-    samples = engine.SampleSet(
+    samples = engine.SampleSet.of(
         shots=np.array([counts], dtype=np.int64),
         meta=engine.SampleMeta(source="simulated"))
     clicks = engine.to_threshold(samples)
@@ -806,7 +828,7 @@ def test_write_then_ingest_roundtrip(tmp_path, k44_spec):
 def test_write_samples_bytes_equal_json_rows(tmp_path, shots):
     path = tmp_path / "x.samples"
     engine.write_samples(
-        engine.SampleSet(shots=shots, meta=engine.SampleMeta("simulated")), path)
+        engine.SampleSet.of(shots=shots, meta=engine.SampleMeta("simulated")), path)
     want = "\n".join(json.dumps(row, separators=(",", ":"))
                      for row in shots.tolist()) + "\n"
     assert path.read_bytes() == want.encode("utf-8")
@@ -824,7 +846,7 @@ def test_write_samples_bytes_equal_per_shot_writer(tmp_path, k44_spec, counts):
         assert shots.max() >= 256
     path = tmp_path / "x.samples"
     engine.write_samples(
-        engine.SampleSet(shots=shots, meta=engine.SampleMeta("simulated")), path)
+        engine.SampleSet.of(shots=shots, meta=engine.SampleMeta("simulated")), path)
     assert path.read_bytes() == sample_file_text(shots).encode("utf-8")
 
 
@@ -1018,7 +1040,7 @@ def test_ingest_reads_written_samples_without_the_json_parser(
     shots[:40] = rng.choice([0, 1, 256, 10 ** 18 - 1], size=(40, 8))
     path = tmp_path / "x.samples"
     engine.write_samples(
-        engine.SampleSet(shots=shots, meta=engine.SampleMeta("simulated")), path)
+        engine.SampleSet.of(shots=shots, meta=engine.SampleMeta("simulated")), path)
     loaded = []
     json_loads = json.loads
 
@@ -1140,7 +1162,7 @@ def test_ingest_reads_writer_form_chunks_without_a_pattern_per_line(
                                                   size=(30, 8))
     path = tmp_path / "x.samples"
     engine.write_samples(
-        engine.SampleSet(shots=shots, meta=engine.SampleMeta("simulated")), path)
+        engine.SampleSet.of(shots=shots, meta=engine.SampleMeta("simulated")), path)
 
     class NoMatch:
         def fullmatch(self, raw):

@@ -11,7 +11,7 @@ from gbsgraphs.cli import CLASS_REPRESENTATIVES
 from gbsgraphs.engine import LossModel, SampleMeta, SampleSet
 from gbsgraphs.errors import ValidationError
 from oracles import (assert_histogram_of, fv_events_per_shot, fv_orbits_per_shot,
-                     match_on_grid_per_halving)
+                     match_on_grid_per_halving, sample_file_text)
 from oracles import orbit_patterns as orbit_patterns_oracle
 from oracles import slice_mass
 
@@ -20,8 +20,8 @@ TANH2 = math.tanh(1.0) ** 2
 
 
 def make_samples(rows, loss=None):
-    return SampleSet(shots=np.array(rows, dtype=np.int64),
-                     meta=SampleMeta(source="simulated", loss=loss))
+    return SampleSet.of(shots=np.array(rows, dtype=np.int64),
+                        meta=SampleMeta(source="simulated", loss=loss))
 
 
 def partitions(total, max_part):
@@ -126,8 +126,8 @@ def test_fv_events_reject_negative_totals(specs_by_code):
 
 
 def test_fv_rejects_empty_sets():
-    empty = SampleSet(shots=np.zeros((0, 8), dtype=np.int64),
-                      meta=SampleMeta(source="simulated"))
+    empty = SampleSet.of(shots=np.zeros((0, 8), dtype=np.int64),
+                         meta=SampleMeta(source="simulated"))
     with pytest.raises(ValidationError):
         features.fv_events_from_samples(empty, [2], 8)
     with pytest.raises(ValidationError):
@@ -168,12 +168,12 @@ def _assert_vectors_match_per_shot_oracle(samples):
 
 
 def test_sampled_vectors_match_per_shot_oracle_bit_for_bit(embeddable, tmp_path):
-    # All 75 graphs, each set as sampled (histogram made on first use),
-    # written (histogram made by write_samples) and ingested (built from it).
+    # All 75 graphs, each set as drawn, rebuilt from its shots, and ingested
+    # from the file written from it.
     for i, (code, spec) in enumerate(embeddable):
         drawn = engine.apply_loss(engine.sample(spec, 1_500, seed=2 * i),
                                   LossModel(0.55), seed=2 * i + 1)
-        fresh = SampleSet(shots=drawn.shots, meta=drawn.meta)
+        fresh = SampleSet.of(shots=drawn.shots, meta=drawn.meta)
         path = tmp_path / f"{code}.samples"
         engine.write_samples(drawn, path)
         for samples in (fresh, drawn, engine.ingest_samples(path)):
@@ -198,30 +198,58 @@ def test_histogram_merges_spellings_of_one_pattern(tmp_path, big):
     _assert_vectors_match_per_shot_oracle(samples)
 
 
-def test_histogram_is_made_once_and_then_stands_for_the_shots(
-        tmp_path, specs_by_code, monkeypatch):
-    # sample -> apply_loss -> write_samples sorts the shots once; after that
-    # the set holds its histogram and a row number per shot, and gathers
-    # its shots from them.
-    sorts = []
-    unique_rows = engine._unique_rows
-    monkeypatch.setattr(engine, "_unique_rows",
-                        lambda rows: sorts.append(len(rows)) or unique_rows(rows))
-    drawn = engine.apply_loss(engine.sample(specs_by_code["1111111111"], 2_000, seed=54),
-                              LossModel(0.55), seed=55)
-    want = drawn.shots.copy()
-    engine.write_samples(drawn, tmp_path / "x.samples")
-    assert sorts == [2_000]
-    fresh = SampleSet(shots=want.copy(), meta=drawn.meta)
-    for samples, calls in ((drawn, [2_000]), (fresh, [2_000, 2_000])):
-        histogram = samples.histogram
-        assert samples.histogram is histogram and sorts == calls
-        shots = samples.shots
-        assert shots.dtype == np.int64 and np.array_equal(shots, want)
-        assert len(samples) == 2_000
+def _built_set(how, spec, tmp_path, unique_rows_calls):
+    # A set made by ``how`` and the int64 shots it was made from.
+    drawn = engine.sample(spec, 2_000, seed=54)
+    if how == "sample":
+        return drawn, unique_rows_calls[-1][0]
+    if how == "apply_loss":
+        stream = np.random.SeedSequence(55)
+        want = np.random.default_rng(stream).binomial(drawn.shots, 0.55)
+        return engine.apply_loss(drawn, LossModel(0.55), stream), want
+    if how == "to_threshold":
+        return engine.to_threshold(drawn), np.minimum(drawn.shots, 1)
+    want = drawn.shots
+    want[::7, 0] = 300                  # int64 histogram rows
+    if how == "ingest_samples":
+        path = tmp_path / "x.samples"
+        path.write_text(sample_file_text(want))
+        return engine.ingest_samples(path), want
+    return SampleSet.of(shots=want.copy(), meta=drawn.meta), want
+
+
+@pytest.mark.parametrize("how", ["sample", "apply_loss", "to_threshold",
+                                 "ingest_samples", "SampleSet.of"])
+def test_every_set_is_its_histogram_and_row_numbers(
+        tmp_path, specs_by_code, count_calls, how):
+    calls = count_calls(engine, "_unique_rows")
+    samples, want = _built_set(how, specs_by_code["1111111111"], tmp_path, calls)
+    distinct, counts = samples.histogram
+    assert not (distinct.flags.writeable or counts.flags.writeable
+                or samples.rows.flags.writeable)
+    assert samples.rows.dtype == engine._row_dtype(len(distinct))
+    for name in ("histogram", "rows", "meta", "shots", "other"):
+        with pytest.raises(AttributeError):
+            setattr(samples, name, None)
+    shots = samples.shots
+    assert shots.dtype == np.int64 and np.array_equal(shots, want)
+    assert len(samples) == len(want)
+    assert_histogram_of(samples)
+    made = len(calls)
+    engine.write_samples(samples, tmp_path / "y.samples")
+    assert len(calls) == made
+
+
+def test_writing_into_shots_leaves_the_set_unchanged(specs_by_code):
+    drawn = engine.sample(specs_by_code["1111111111"], 500, seed=56)
+    given = drawn.shots
+    built = SampleSet.of(shots=given, meta=drawn.meta)
+    for samples, source in ((drawn, drawn.shots), (built, given)):
+        want = samples.shots.copy()
+        samples.shots[0, 0] = 99
+        source[0, 0] = 99
+        assert np.array_equal(samples.shots, want)
         assert_histogram_of(samples)
-    with pytest.raises(AttributeError):
-        drawn.meta = fresh.meta
 
 
 def test_sampled_events_match_analytic_within_4_sigma(specs_by_code):
