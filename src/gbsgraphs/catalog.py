@@ -1,46 +1,22 @@
 """Catalog of candidate graphs: embeddability, class, rank, photon budget.
 
-The records come from ``embedding.walk_codes``: one batched trace test over
-the 1024 candidate codes, with each embeddable graph's class read off its
-K_{a,b} block shape.  Reasons for the rejected codes are computed only when
-they are listed (``include_all``).
+``embedding.walk_codes`` builds the ``CatalogRecord``s in one batched trace
+test over the 1024 candidate codes (the rejected codes' reasons only with
+``include_all``); this module counts the classes and writes the file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import graphs
-from .embedding import MEAN_PHOTON_SINGLE, walk_codes
-
-
-@dataclass(frozen=True)
-class CatalogRecord:
-    code: str
-    embeddable: bool
-    iso_class: str
-    rank: int | None = None
-    m: float | None = None                 # mean photon per mode
-    singular_value: float | None = None    # common nonzero singular value
-    reason: str | None = None              # why not embeddable
+from .embedding import CatalogRecord, walk_codes
 
 
 def build_catalog(include_all: bool = False) -> list[CatalogRecord]:
     """One record per code, ascending; embeddable-only unless ``include_all``."""
-    records = []
-    for code, emb, iso_class in walk_codes(include_all):
-        records.append(CatalogRecord(
-            code=code,
-            embeddable=emb.embeddable,
-            iso_class=iso_class,
-            rank=emb.rank if emb.embeddable else None,
-            m=emb.rank * MEAN_PHOTON_SINGLE if emb.embeddable else None,
-            singular_value=emb.singular_values[0] if emb.embeddable else None,
-            reason=emb.reason,
-        ))
-    return records
+    return walk_codes(include_all)
 
 
 def class_counts(records: list[CatalogRecord]) -> dict[str, int]:

@@ -29,16 +29,8 @@ from .engine import (
 from .errors import InternalError, ValidationError
 
 
-class CliValidationError(click.ClickException):
-    exit_code = 2
-
-
-class CliIoError(click.ClickException):
-    exit_code = 3
-
-
-class CliInternalError(click.ClickException):
-    exit_code = 4
+#: Exit code of each kind of error a command raises (see the module docstring).
+_EXIT_CODES = {ValidationError: 2, OSError: 3, InternalError: 4}
 
 
 class _MappedErrorGroup(click.Group):
@@ -47,12 +39,11 @@ class _MappedErrorGroup(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValidationError as exc:
-            raise CliValidationError(str(exc))
-        except OSError as exc:
-            raise CliIoError(str(exc))
-        except InternalError as exc:
-            raise CliInternalError(str(exc))
+        except tuple(_EXIT_CODES) as exc:
+            error = click.ClickException(str(exc))
+            error.exit_code = next(code for kind, code in _EXIT_CODES.items()
+                                   if isinstance(exc, kind))
+            raise error
 
 
 def _parse_events(text: str) -> list[int]:
@@ -142,7 +133,7 @@ def cmd_classify(codes):
             "code": code,
             "class": found.iso_class if found else graphs.OTHER,
             "embeddable": found is not None,
-            "rank": found.check.rank if found else None,
+            "rank": found.rank if found else None,
             "components": components,
         })
     _echo_json(payload)

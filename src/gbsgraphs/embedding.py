@@ -13,7 +13,7 @@ complete-bipartite blocks K_{a,b}, with sigma^2 = a * b, whose modes
 ``make_embedding`` lists in ``EmbeddingSpec.blocks`` for the law in ``engine``.
 
 ``walk_codes`` runs the test once over the stacked 1024 candidate matrices
-and reads each embeddable graph's class off its K_{a,b} block shape;
+into catalog records, reading each graph's class off its K_{a,b} block shape;
 ``embeddability_check`` runs the same test on a stack of one.  The float
 eigensolver only lists the singular values of rejected matrices in their
 reasons, and the walk calls it only when those reasons are asked for.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import NamedTuple
 
 import numpy as np
 
@@ -98,17 +97,20 @@ def embeddability_check(m) -> Embeddability:
     return _rejected(stack, t2)[0]
 
 
-class Candidate(NamedTuple):
-    """One candidate code with its trace-test outcome and class label."""
-
+@dataclass(frozen=True)
+class CatalogRecord:
     code: str
-    check: Embeddability
+    embeddable: bool
     iso_class: str
+    rank: int | None = None
+    m: float | None = None                 # mean photon per mode
+    singular_value: float | None = None    # common nonzero singular value
+    reason: str | None = None              # why not embeddable
 
 
-def walk_codes(include_all: bool = False) -> list[Candidate]:
-    """The candidate codes in ascending order, embeddable ones only unless
-    ``include_all``: one trace test over the whole stack of 1024 matrices.
+def walk_codes(include_all: bool = False) -> list[CatalogRecord]:
+    """Catalog records of the candidate codes in ascending order, embeddable
+    ones only unless ``include_all``: one trace test over all 1024 matrices.
 
     A graph that passes is ``rank`` copies of K_{a,b}, with a the row sum of
     a nonzero row and a * b = sigma^2 = t4 / t2; its class is read off that
@@ -118,18 +120,21 @@ def walk_codes(include_all: bool = False) -> list[Candidate]:
     stack = graphs.candidate_matrices()
     ok, t2, t4 = _trace_test(stack)
     a = stack.sum(axis=2).max(axis=1)
-    walked: list[Candidate | None] = [None] * len(stack)
+    walked: list[CatalogRecord | None] = [None] * len(stack)
     kept = np.flatnonzero(ok)
     for i, t2_i, t4_i, a_i in zip(kept.tolist(), t2[kept].tolist(),
                                   t4[kept].tolist(), a[kept].tolist()):
         emb = _passed(t2_i, t4_i)
-        walked[i] = Candidate(graphs.code_of(i), emb,
-                              graphs.block_label(emb.rank, a_i, t4_i // t2_i // a_i))
+        walked[i] = CatalogRecord(
+            graphs.code_of(i), True,
+            graphs.block_label(emb.rank, a_i, t4_i // t2_i // a_i),
+            emb.rank, emb.rank * MEAN_PHOTON_SINGLE, emb.singular_values[0])
     if include_all:
         failed = np.flatnonzero(~ok)
         for i, emb in zip(failed.tolist(), _rejected(stack[failed], t2[failed])):
-            walked[i] = Candidate(graphs.code_of(i), emb, graphs.OTHER)
-    return [c for c in walked if c is not None]
+            walked[i] = CatalogRecord(graphs.code_of(i), False, graphs.OTHER,
+                                      reason=emb.reason)
+    return [r for r in walked if r is not None]
 
 
 @dataclass(frozen=True, eq=False)

@@ -285,17 +285,12 @@ def _pair_walk(etas, top: int, depth: int):
         yield buf
 
 
-def _pair_diagonals(etas, top: int) -> np.ndarray:
-    """The whole walk of ``_pair_walk``: P[S, T - S] at buf[T, S + 1, i]."""
-    *_, buf = _pair_walk(etas, top, top + 1)
-    return buf
-
-
 def pair_matrix(eta: float, size: int) -> np.ndarray:
     """P[S, D], S, D <= size, at transmission eta: one gather from the
-    skewed array of ``_pair_diagonals``."""
+    whole walk of ``_pair_walk``, which holds P[S, T - S] at buf[T, S + 1, 0]."""
+    *_, buf = _pair_walk([eta], 2 * size, 2 * size + 1)
     s = np.arange(size + 1)
-    return _pair_diagonals([eta], 2 * size)[s[:, None] + s, s[:, None] + 1, 0]
+    return buf[s[:, None] + s, s[:, None] + 1, 0]
 
 
 #: (3/4)^j for j < UNDERFLOW_PAIRS, the one power ``_binomial`` takes: its
@@ -592,7 +587,8 @@ class SampleSet:
     in [0, 256).  ``rows`` is each shot's row in it, in order, in the
     smallest unsigned dtype that numbers the rows (``_row_dtype``: 1 byte a
     shot up to 256 rows, 2 up to 65,536).  The arrays are made read-only.
-    ``SampleSet.of(shots, meta)`` builds a set from (N, 8) counts.
+    ``SampleSet.of`` is the one place a set is built: ``sample``,
+    ``apply_loss``, ``to_threshold`` and ``ingest_samples`` all call it.
     """
 
     # Written out, not ``slots=True``: that copies the class, and on Python
@@ -608,10 +604,17 @@ class SampleSet:
             array.flags.writeable = False
 
     @classmethod
-    def of(cls, shots: np.ndarray, meta: SampleMeta) -> SampleSet:
-        """The set of (N, 8) counts ``shots``, which it does not keep."""
+    def of(cls, shots: np.ndarray, meta: SampleMeta,
+           index: np.ndarray | None = None) -> SampleSet:
+        """The set of (N, 8) counts ``shots``, which it does not keep; given
+        ``index``, the set of ``shots[index]``, never gathered, where
+        ``shots`` may repeat a pattern and ``index`` names its every row."""
         distinct, rows, counts = _unique_rows(shots)
-        return cls((distinct, counts), rows.astype(_row_dtype(len(distinct))), meta)
+        rows = rows.astype(_row_dtype(len(distinct)))
+        if index is not None:
+            rows = rows[index]
+            counts = np.bincount(rows, minlength=len(distinct))
+        return cls((distinct, counts), rows, meta)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -666,9 +669,10 @@ def apply_loss(samples: SampleSet, loss: LossModel,
 
 
 def to_threshold(samples: SampleSet) -> SampleSet:
-    """Clamp every count to {0, 1} (click/no-click detection)."""
-    return SampleSet.of(np.minimum(samples.shots, 1),
-                        replace(samples.meta, threshold=True))
+    """Clamp every count to {0, 1} (click/no-click detection): the
+    histogram's rows are clamped, and the shots never gathered."""
+    return SampleSet.of(np.minimum(samples.histogram[0], 1),
+                        replace(samples.meta, threshold=True), samples.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -826,9 +830,10 @@ def ingest_samples(path) -> SampleSet:
     forbids leading zeros and 8 counts below 10^18 sum to less than
     2^63 - 1, and a bad line raises before the next chunk is read.  The
     counts of all distinct shot lines are converted in one
-    ``numpy.fromstring`` call, exact over int64.  The set is built straight
-    from its histogram and one row number per shot (see ``SampleSet``), 1
-    or 2 bytes a shot for the few thousand patterns of a lossy file.
+    ``numpy.fromstring`` call, exact over int64.  ``SampleSet.of`` builds
+    the set from the distinct lines' counts and each shot's line, without
+    gathering the shots: one row number per shot (see ``SampleSet``), 1 or
+    2 bytes a shot for the few thousand patterns of a lossy file.
     The meta file must be a UTF-8 JSON object whose ``code`` is null or a
     valid graph code and whose ``loss``, ``seed`` and ``threshold`` keep
     ``_META_RULES``; other keys are ignored.
@@ -892,9 +897,5 @@ def ingest_samples(path) -> SampleSet:
     if meta_kwargs.get("threshold") and (parsed > 1).any():
         raise SampleFormatError(
             path, 0, "meta declares threshold samples but counts exceed 1")
-    # Two spellings of one pattern are two distinct lines but one row of the
-    # histogram; the shots are never gathered.
-    distinct, line_rows, _ = _unique_rows(parsed)
-    shot_rows = line_rows.astype(_row_dtype(len(distinct)))[np.concatenate(orders)]
-    return SampleSet((distinct, np.bincount(shot_rows, minlength=len(distinct))),
-                     shot_rows, SampleMeta(**meta_kwargs))
+    # Two spellings of one pattern are two lines but one histogram row.
+    return SampleSet.of(parsed, SampleMeta(**meta_kwargs), np.concatenate(orders))

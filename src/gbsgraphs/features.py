@@ -172,6 +172,13 @@ def fv_orbits_from_samples(samples: SampleSet,
 # Analytic feature vectors
 # ---------------------------------------------------------------------------
 
+def _analytic_fv(labels, values, eta: float) -> FeatureVector:
+    # Exact values at transmission eta, so every tail bound is 0.
+    return FeatureVector(labels=tuple(labels), values=np.asarray(values),
+                         provenance="analytic", loss_eta=eta,
+                         tail_bound=np.zeros(len(values)))
+
+
 def _event_law(spec: EmbeddingSpec, events: list[int], n_max: int,
                etas) -> np.ndarray:
     # One row per transmission, one column per event total: an open cap
@@ -203,13 +210,8 @@ def fv_events_analytic(spec: EmbeddingSpec, events: Sequence[int],
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     eta = 1.0 if loss is None else loss.eta
     events = validate_events(events)
-    return FeatureVector(
-        labels=tuple(EventSpec(k, n_max) for k in events),
-        values=_event_law(spec, events, n_max, [eta])[0],
-        provenance="analytic",
-        loss_eta=eta,
-        tail_bound=np.zeros(len(events)),
-    )
+    return _analytic_fv((EventSpec(k, n_max) for k in events),
+                        _event_law(spec, events, n_max, [eta])[0], eta)
 
 
 def fv_orbits_analytic(spec: EmbeddingSpec, orbits: Sequence[OrbitId],
@@ -228,14 +230,8 @@ def fv_orbits_analytic(spec: EmbeddingSpec, orbits: Sequence[OrbitId],
         spec, np.concatenate([np.empty((0, graphs.N_NODES), np.int64), *members]),
         eta)
     ends = np.cumsum([len(m) for m in members], dtype=np.intp)
-    values = [float(prob[end - len(m):end].sum()) for m, end in zip(members, ends)]
-    return FeatureVector(
-        labels=tuple(orbits),
-        values=np.array(values),
-        provenance="analytic",
-        loss_eta=eta,
-        tail_bound=np.zeros(len(orbits)),
-    )
+    return _analytic_fv(orbits, [float(prob[end - len(m):end].sum())
+                                 for m, end in zip(members, ends)], eta)
 
 
 # ---------------------------------------------------------------------------

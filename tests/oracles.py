@@ -314,7 +314,7 @@ def build_table_by_polynomial(spec, cutoff_pairs: int = engine.DEFAULT_CUTOFF_PA
 def pair_diagonals(etas, top: int):
     """Yield P[S, T - S] for S = 0..T, one row per eta, for T = 0..top.
 
-    The pair-law walk ``engine._pair_diagonals`` made before it filled one
+    The pair-law walk ``engine._pair_walk`` made before it filled one
     skewed array: a fresh array per anti-diagonal.  It pins the bits of
     every P[S, D].
     """

@@ -96,14 +96,22 @@ def test_embeddability_invariant_under_permutation(code, perm):
 
 def test_walk_agrees_with_per_code_check_and_classifier_on_all_codes():
     walked = embedding.walk_codes(include_all=True)
-    assert [c.code for c in walked] == [graphs.code_of(n) for n in range(1024)]
-    for code, emb, label in walked:
-        m = graphs.decode_code(code)
-        assert emb == embedding.embeddability_check(m), code
-        assert emb == embeddability_check_per_code(m), code
-        assert label == graphs.classify(graphs.adjacency_for(code)), code
-        assert (label == graphs.OTHER) != emb.embeddable, code
-    assert embedding.walk_codes() == [c for c in walked if c.check.embeddable]
+    assert [r.code for r in walked] == [graphs.code_of(n) for n in range(1024)]
+    for rec in walked:
+        m = graphs.decode_code(rec.code)
+        emb = embedding.embeddability_check(m)
+        assert emb == embeddability_check_per_code(m), rec.code
+        assert rec.embeddable == emb.embeddable, rec.code
+        assert rec.reason == emb.reason, rec.code
+        if emb.embeddable:
+            assert (rec.rank, rec.m, rec.singular_value) == (
+                emb.rank, emb.rank * embedding.MEAN_PHOTON_SINGLE,
+                emb.singular_values[0]), rec.code
+        else:
+            assert rec.rank is rec.m is rec.singular_value is None, rec.code
+        assert rec.iso_class == graphs.classify(graphs.adjacency_for(rec.code)), rec.code
+        assert (rec.iso_class == graphs.OTHER) != rec.embeddable, rec.code
+    assert embedding.walk_codes() == [r for r in walked if r.embeddable]
 
 
 def test_block_label_on_class_and_other_shapes():

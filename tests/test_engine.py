@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -444,12 +445,19 @@ def test_detected_probabilities_match_per_side_oracle_bit_for_bit(
 _PAIR_ETAS = [0.0, 1.0, 1e-9, 0.55, *np.random.default_rng(17).random(200)]
 
 
+def _pair_diagonals(etas, top: int) -> np.ndarray:
+    # The whole walk kept: P[S, T - S] at buf[T, S + 1, i], as ``pair_matrix``
+    # reads it.
+    *_, buf = engine._pair_walk(etas, top, top + 1)
+    return buf
+
+
 @pytest.mark.parametrize("top", [0, 1, 2, 9, 60])
 def test_pair_diagonals_match_generator_oracle_bit_for_bit(top):
     # The skewed array holds each anti-diagonal at [T, 1:T + 2], zero
     # elsewhere; each eta alone and all of them in one call.
     for etas in [[eta] for eta in _PAIR_ETAS] + [_PAIR_ETAS]:
-        got = engine._pair_diagonals(etas, top)
+        got = _pair_diagonals(etas, top)
         assert got.shape == (top + 1, top + 2, len(etas))
         for total, diag in enumerate(pair_diagonals(etas, top)):
             assert np.array_equal(_bits(got[total, 1:total + 2].T), _bits(diag))
@@ -458,7 +466,7 @@ def test_pair_diagonals_match_generator_oracle_bit_for_bit(top):
 
 def test_pair_diagonals_match_generator_oracle_on_a_grid():
     grid = np.linspace(0.0, 1.0, 101)
-    got = engine._pair_diagonals(grid, 60)
+    got = _pair_diagonals(grid, 60)
     for total, diag in enumerate(pair_diagonals(grid, 60)):
         assert np.array_equal(_bits(got[total, 1:total + 2].T), _bits(diag))
 
@@ -797,6 +805,39 @@ def test_threshold_of_single_pattern(counts):
         meta=engine.SampleMeta(source="simulated"))
     clicks = engine.to_threshold(samples)
     assert clicks.shots[0].tolist() == [min(c, 1) for c in counts]
+
+
+def _threshold_input(spec, kind: str) -> engine.SampleSet:
+    lossless = engine.sample(spec, 3_000, seed=61)
+    if kind == "lossy":
+        return engine.apply_loss(lossless, engine.LossModel(0.55), seed=62)
+    if kind == "int64":
+        shots = lossless.shots
+        shots[::5, 3] = 300
+        return engine.SampleSet.of(shots, lossless.meta)
+    if kind == "clamped":
+        return engine.to_threshold(lossless)
+    return lossless
+
+
+@pytest.mark.parametrize("kind", ["lossless", "lossy", "int64", "clamped"])
+def test_threshold_clamps_the_histogram_without_reading_shots(
+        k44_spec, monkeypatch, kind):
+    # The set that clamping every shot gives, in every array and dtype.
+    samples = _threshold_input(k44_spec, kind)
+    assert (samples.histogram[0].dtype == np.int64) == (kind == "int64")
+    want = engine.SampleSet.of(np.minimum(samples.shots, 1),
+                               dataclasses.replace(samples.meta, threshold=True))
+
+    def unread(self):
+        raise AssertionError("to_threshold read .shots")
+
+    monkeypatch.setattr(engine.SampleSet, "shots", property(unread))
+    got = engine.to_threshold(samples)
+    assert got.meta == want.meta
+    for name, a, b in zip(("rows", "counts", "shot rows"),
+                          (*got.histogram, got.rows), (*want.histogram, want.rows)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 # ---------------------------------------------------------------------------
