@@ -77,8 +77,17 @@ def _parse_codes(text: str | None) -> list[str]:
             if c.strip()]
 
 
+def _echo(message: str = "") -> None:
+    """``click.echo(message)`` to stdout, picked as click picks it by default
+    (``errors=None``) but not cached.  Without ``file=``, click caches a
+    writer per stream in a ``WeakKeyDictionary`` whose value is the stream
+    itself when it needs no re-encoding, so every stream a caller swaps in
+    (``CliRunner``, ``redirect_stdout``) would stay alive for good."""
+    click.echo(message, file=click.get_text_stream("stdout", errors=None))
+
+
 def _echo_json(payload) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    _echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
 _seed_option = click.option("--seed", type=click.IntRange(min=0), default=0,
@@ -113,8 +122,8 @@ def cmd_enumerate(all_candidates, out, fmt):
               rec.reason] for rec in records])
     counts = catalog.class_counts(records)
     embeddable = sum(1 for r in records if r.embeddable)
-    click.echo(f"wrote {len(records)} records ({embeddable} embeddable) to {out}")
-    click.echo("class counts: " + json.dumps(counts, sort_keys=True))
+    _echo(f"wrote {len(records)} records ({embeddable} embeddable) to {out}")
+    _echo("class counts: " + json.dumps(counts, sort_keys=True))
 
 
 @cli.command("classify")
@@ -181,8 +190,8 @@ def cmd_simulate(code, shots, seed, eta, threshold, out):
         samples = to_threshold(samples)
     out = Path(out) if out is not None else Path(f"{code}.samples")
     sample_path, meta_path = write_samples(samples, out)
-    click.echo(f"wrote {shots} shots of the exact law to {sample_path} "
-               f"(meta: {meta_path})")
+    _echo(f"wrote {shots} shots of the exact law to {sample_path} "
+          f"(meta: {meta_path})")
 
 
 @cli.command("ingest")
@@ -275,7 +284,7 @@ def cmd_fv(sample_paths, code, events, n_max, orbits, eta, out):
             rows.extend(_fv_rows(code, label, fv))
     figures.write_csv(out, ["code", "class", "provenance", "loss_eta", "label",
                             "value", "stat_error"], rows)
-    click.echo(f"wrote {len(rows)} feature components to {out}")
+    _echo(f"wrote {len(rows)} feature components to {out}")
 
 
 @cli.command("deviation")
@@ -295,7 +304,7 @@ def cmd_deviation(sample_path, code, events, n_max, step, out):
     _, report = _fig3(ingest_samples(sample_path), code, step, out,
                       events=events, n_max=n_max)
     _echo_json(report)
-    click.echo(f"wrote deviation grid to {out}")
+    _echo(f"wrote deviation grid to {out}")
 
 
 def _fig3(samples, code, step, csv_path, svg_path=None, events=None,
@@ -367,7 +376,7 @@ def cmd_figure(name, samples_dir, sample_path, code, codes, event_k, step,
             paths = figures.write_orbit_space(
                 rows, figures.cluster_summaries(rows), csv_path,
                 Path(f"{prefix}_clusters.csv"), svg_path)
-    click.echo("wrote " + ", ".join(str(p) for p in paths))
+    _echo("wrote " + ", ".join(str(p) for p in paths))
 
 
 FIG3_CODE = "1111111111"  # the only connected embeddable graph
@@ -405,7 +414,7 @@ def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
     (outdir / "samples").mkdir(parents=True, exist_ok=True)
     records = catalog.build_catalog()
     catalog.write_catalog(records, outdir / "catalog.json")
-    click.echo(f"catalog: {len(records)} embeddable graphs")
+    _echo(f"catalog: {len(records)} embeddable graphs")
 
     labels = {rec.code: rec.iso_class for rec in records}
     streams = dict(zip(labels, np.random.SeedSequence(seed).spawn(len(records))))
@@ -423,25 +432,25 @@ def cmd_pipeline(outdir, shots, seed, eta, event_k, step, codes):
             _, report = _fig3(samples, FIG3_CODE, step,
                               outdir / "fig3.csv", outdir / "fig3.svg")
             matches = report["matched_loss_factor"]
-    click.echo(f"samples: {len(fig2_rows)} graphs x {shots} shots "
-               f"at eta={eta} in {time.perf_counter() - start:.1f} s")
+    _echo(f"samples: {len(fig2_rows)} graphs x {shots} shots "
+          f"at eta={eta} in {time.perf_counter() - start:.1f} s")
 
     figures.write_event_by_class(fig2_rows, outdir / "fig2.csv",
                                  outdir / "fig2.svg", event_k)
-    click.echo("fig2: event values per graph")
+    _echo("fig2: event values per graph")
 
     if matches is not None:
         (outdir / "fig3_matches.json").write_text(
             json.dumps(matches, indent=2, sort_keys=True) + "\n")
-        click.echo(f"fig3: matched loss factors {matches}")
+        _echo(f"fig3: matched loss factors {matches}")
 
     summaries = figures.cluster_summaries(fig4_rows)
     figures.write_orbit_space(fig4_rows, summaries, outdir / "fig4.csv",
                               outdir / "fig4_clusters.csv", outdir / "fig4.svg")
     separated = sum(1 for s in summaries if s.separation > s.dispersion)
-    click.echo(f"fig4: {separated}/{len(summaries)} classes separate from "
-               f"their nearest neighbour")
-    click.echo(f"done in {time.perf_counter() - start:.1f} s -> {outdir}")
+    _echo(f"fig4: {separated}/{len(summaries)} classes separate from "
+          f"their nearest neighbour")
+    _echo(f"done in {time.perf_counter() - start:.1f} s -> {outdir}")
 
 
 #: One representative code per class, compared by ``overlap``.
@@ -484,24 +493,24 @@ def cmd_overlap(etas, shots):
     losses = [LossModel(eta) for eta in values]
     orbit_names = ", ".join(features.format_label(o)
                             for o in features.DEFAULT_ORBITS)
-    click.echo(f"orbit space: {orbit_names}")
-    click.echo(f"sampling noise scale assumes {shots} shots per graph\n")
+    _echo(f"orbit space: {orbit_names}")
+    _echo(f"sampling noise scale assumes {shots} shots per graph\n")
     for loss in losses:
         vectors = {label: features.fv_orbits_analytic(
                        make_embedding(code), features.DEFAULT_ORBITS, loss).values
                    for label, code in CLASS_REPRESENTATIVES.items()}
         noise = math.sqrt(
             max(float(v.max()) for v in vectors.values()) / shots)
-        click.echo(f"eta = {loss.eta:.2f} (loss factor {loss.loss_factor:.2f}), "
-                   f"1-sigma noise ~ {noise:.2e}")
+        _echo(f"eta = {loss.eta:.2f} (loss factor {loss.loss_factor:.2f}), "
+              f"1-sigma noise ~ {noise:.2e}")
         for a, b in OVERLAP_PAIRS:
             distance = float(np.linalg.norm(vectors[a] - vectors[b]))
             # With no photon left to detect, every vector is 0 and so is the noise.
             sigmas = distance / noise if noise > 0 else math.nan
             verdict = "separable" if distance > 4 * noise else "overlapping"
-            click.echo(f"  {a} vs {b}: analytic distance {distance:.6f} "
-                       f"({sigmas:.1f} sigma, {verdict})")
-        click.echo()
+            _echo(f"  {a} vs {b}: analytic distance {distance:.6f} "
+                  f"({sigmas:.1f} sigma, {verdict})")
+        _echo()
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ import pytest
 
 from gbsgraphs import engine, features, graphs
 from gbsgraphs.catalog import CatalogRecord
-from gbsgraphs.embedding import MEAN_PHOTON_SINGLE, Embeddability, enumerate_embeddable
+from gbsgraphs.embedding import (MEAN_PHOTON_SINGLE, SQUEEZING, Embeddability,
+                                 enumerate_embeddable)
 from gbsgraphs.errors import SampleFormatError, ValidationError
 
 N_NODES = 8
@@ -108,6 +109,18 @@ def one_code_per_block_shape() -> list[str]:
         shapes.setdefault(tuple((len(sig), len(idl)) for sig, idl in spec.blocks),
                           code)
     return list(shapes.values())
+
+
+def sample_shots_per_side(spec, shots: int, rng) -> np.ndarray:
+    """``engine.sample``'s (N, 8) shots drawn from ``rng`` with int64 counts
+    and one ``rng.multinomial`` split on every block side, one-mode sides
+    included."""
+    out = np.zeros((shots, N_NODES), dtype=np.int64)
+    for block in spec.blocks:
+        pairs = rng.geometric(1.0 / math.cosh(SQUEEZING) ** 2, size=shots) - 1
+        for modes in block:
+            out[:, modes] = rng.multinomial(pairs, [1.0 / len(modes)] * len(modes))
+    return out
 
 
 def code_of_matrix(m) -> str:

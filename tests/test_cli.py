@@ -1,6 +1,14 @@
+import ast
+import contextlib
+import gc
 import hashlib
+import importlib
+import inspect
+import io
 import json
+import os
 import time
+import weakref
 from pathlib import Path
 
 import click
@@ -24,7 +32,6 @@ def runner():
 
 
 def run_in(tmp_path, runner, args):
-    import os
     old = os.getcwd()
     os.chdir(tmp_path)
     try:
@@ -942,3 +949,79 @@ def test_figure_fig3_and_deviation_write_the_same_grid(dev_dir, runner):
     matches = deviation.output.split("wrote")[0]
     assert json.loads(matches)["code"] == "1111111111"
     assert figure.output.split("wrote")[0] == matches
+
+
+# ---------------------------------------------------------------------------
+# in-process runs keep nothing
+# ---------------------------------------------------------------------------
+
+#: One run of every command, in a directory holding ``d.samples`` (dev_dir).
+PRINTING_RUNS = {
+    "enumerate": ["enumerate", "--out", "cat.json"],
+    "classify": ["classify", "1111111111"],
+    "embed": ["embed", "1111111111"],
+    "simulate": ["simulate", "1111111111", "--shots", "200", "--out", "n.samples"],
+    "ingest": ["ingest", "d.samples"],
+    "fv": ["fv", "--samples", "d.samples", "--out", "fv.csv"],
+    "deviation": ["deviation", "--samples", "d.samples", "--step", "0.1",
+                  "--out", "dev.csv"],
+    "figure": ["figure", "fig3", "--samples", "d.samples", "--step", "0.1",
+               "--format", "csv", "--out-prefix", "f3"],
+    "pipeline": ["pipeline", "--shots", "200", "--codes", "1111111111",
+                 "--outdir", "p"],
+    "overlap": ["overlap", "--etas", "0.55", "--shots", "1000"],
+}
+
+
+def _run_redirected(directory, args):
+    """Run ``cli.main(args)`` in ``directory`` with stdout sent to a StringIO.
+    Return what it printed, the exit code of the ClickException it raised (0
+    if none) and a weak reference to the StringIO, taken after the run, once
+    every other reference to it is dropped and garbage collected."""
+    out, code = io.StringIO(), 0
+    old = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out):
+            cli.main(args, standalone_mode=False)
+    except click.ClickException as exc:
+        code = exc.exit_code
+    finally:
+        os.chdir(old)
+    printed, released = out.getvalue(), weakref.ref(out)
+    del out
+    gc.collect()
+    return printed, code, released
+
+
+def test_every_command_has_a_printing_run():
+    assert set(PRINTING_RUNS) == set(cli.commands)
+
+
+@pytest.mark.parametrize("command", sorted(PRINTING_RUNS))
+def test_an_in_process_run_keeps_no_reference_to_its_stdout(dev_dir, command):
+    printed, code, released = _run_redirected(dev_dir, PRINTING_RUNS[command])
+    assert code == 0 and printed
+    assert released() is None
+
+
+def test_an_in_process_run_that_exits_2_keeps_no_reference_to_its_stdout(tmp_path):
+    _, code, released = _run_redirected(tmp_path, ["embed", "0000000000"])
+    assert code == 2
+    assert released() is None
+
+
+def test_commands_print_only_through_echo():
+    # click.echo without file= keeps every stream it writes to (see cli._echo),
+    # so the one call is the one in _echo, which names its file.
+    tree = ast.parse(inspect.getsource(importlib.import_module("gbsgraphs.cli")))
+
+    def echo_calls(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and ast.unparse(call.func) in {"click.echo", "click.secho",
+                                               "echo", "secho"}]
+
+    helper, = [fn for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "_echo"]
+    assert echo_calls(tree) == echo_calls(helper)
+    assert len(echo_calls(helper)) == 1

@@ -22,7 +22,8 @@ from oracles import (assert_histogram_of, assert_ingest_matches_oracle,
                      convolve_rows_untruncated, detected_probabilities_per_side,
                      one_code_per_block_shape,
                      orbit_patterns, pair_diagonals, pair_matrix_by_diagonals,
-                     permanent_naive, sample_file_text, slice_mass, table_lookup)
+                     permanent_naive, sample_file_text, sample_shots_per_side,
+                     slice_mass, table_lookup)
 
 SECH2 = 1.0 / math.cosh(1.0) ** 2
 TANH2 = math.tanh(1.0) ** 2
@@ -639,6 +640,45 @@ def test_sample_is_deterministic(k44_spec):
     assert (a.shots == b.shots).all()
     c = engine.sample(k44_spec, 2000, seed=10)
     assert (a.shots != c.shots).any()
+
+
+@pytest.mark.parametrize("code", one_code_per_block_shape())
+def test_sample_equals_a_multinomial_split_on_every_side(code, specs_by_code):
+    # A one-mode side takes its pairs with no draw, and the counts are uint8:
+    # the shots and the stream left behind are the same.
+    spec = specs_by_code[code]
+    rng, reference = np.random.default_rng(17), np.random.default_rng(17)
+    out = engine.sample(spec, 3000, rng)
+    assert (out.shots == sample_shots_per_side(spec, 3000, reference)).all()
+    assert rng.random() == reference.random()
+
+
+class _LongDraw(np.random.Generator):
+    """PCG64 draws, but shot 0 of geometric draw ``call`` (0-based) is 301:
+    300 pairs, more than a uint8 count holds."""
+
+    def __init__(self, seed, call):
+        super().__init__(np.random.PCG64(seed))
+        self.call = call
+
+    def geometric(self, p, size=None):
+        draws = super().geometric(p, size)
+        if self.call == 0:
+            draws[0] = 301
+        self.call -= 1
+        return draws
+
+
+@pytest.mark.parametrize("code,call", [("0000000100", 0), ("0100000101", 2)])
+def test_sample_widens_to_int64_past_255_pairs(code, call, specs_by_code):
+    spec = specs_by_code[code]
+    rng, reference = _LongDraw(4, call), _LongDraw(4, call)
+    out = engine.sample(spec, 500, rng)
+    expected = sample_shots_per_side(spec, 500, reference)
+    assert (out.shots == expected).all()
+    assert rng.random() == reference.random()
+    assert expected[0, spec.blocks[call][0]] == 300
+    assert out.histogram[0].dtype == np.int64
 
 
 def test_sample_frequency_matches_exact_law():
