@@ -22,6 +22,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -201,6 +202,8 @@ def min_cutoff_for_mass(rank: int, mass: float = 0.99,
     The mean photon number grows with rank, so higher ranks need deeper
     tables than the rank-1 default to cover the same share of the law.
     """
+    if not 0.0 <= mass <= 1.0:
+        raise ValidationError(f"mass must be in [0, 1], got {mass}")
     cutoff = floor
     while 1.0 - total_photon_tail(rank, cutoff) < mass:
         cutoff += 1
@@ -461,11 +464,12 @@ def capped_event_probabilities(spec: EmbeddingSpec, events: list[int],
 @dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """Every pattern with signal total = idler total <= cutoff, with its
-    exact probability, sorted lexicographically."""
+    exact probability, sorted lexicographically.  The counts are of the
+    least unsigned dtype that holds the cutoff: uint8 below 256."""
 
     spec: EmbeddingSpec
     cutoff_pairs: int
-    patterns: np.ndarray        # (N, 8) int64
+    patterns: np.ndarray        # (N, 8) counts, min_scalar_type(cutoff_pairs)
     probs: np.ndarray           # (N,) float64
 
     def __len__(self) -> int:
@@ -485,6 +489,18 @@ def _count_vectors(modes: list[int], cutoff: int) -> np.ndarray:
     return out
 
 
+def _float_parts(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Each exact integer n rounded to float once, as m * 2^e: e = 0 while
+    # every n is in the float range, and past it e = max(bits - 1000, 0), so
+    # that m, n / 2^e rounded, is its rounding scaled exactly.
+    try:
+        return ints.astype(float), np.zeros(len(ints), dtype=np.int64)
+    except OverflowError:
+        exp = [max(n.bit_length() - 1000, 0) for n in ints]
+        return (np.array([n / (1 << e) for n, e in zip(ints, exp)]),
+                np.array(exp, dtype=np.int64))
+
+
 def build_table(spec: EmbeddingSpec,
                 cutoff_pairs: int = DEFAULT_CUTOFF_PAIRS) -> ProbabilityTable:
     """Enumerate all patterns up to ``cutoff_pairs`` photon pairs exactly.
@@ -496,7 +512,16 @@ def build_table(spec: EmbeddingSpec,
     when each block's signal total equals its idler total D_B.  N(s) and
     prod_i d_i! are exact integers, each rounded to float once, so values
     are bit-identical under simultaneous signal/idler mode permutations.
+    Integers past the float range (such as 171!) are rounded as m * 2^e,
+    the products and quotient taken on m, and 2^e applied last.  The
+    patterns are counts of ``np.min_scalar_type(cutoff_pairs)``: uint8 for
+    every cutoff below 256.
     """
+    try:
+        cutoff_pairs = operator.index(cutoff_pairs)
+    except TypeError:
+        raise ValidationError(
+            f"cutoff_pairs must be an integer, got {cutoff_pairs!r}") from None
     if cutoff_pairs < 1:
         raise ValidationError(f"cutoff_pairs must be >= 1, got {cutoff_pairs}")
     sigs = [list(sig) for sig, _ in spec.blocks]
@@ -517,13 +542,20 @@ def build_table(spec: EmbeddingSpec,
                   + np.repeat(start - np.cumsum(count) + count, count)]
     fact = np.array([math.factorial(k) for k in range(cutoff_pairs + 1)],
                     dtype=object)
-    numer = (fact[s_totals] ** 2).prod(axis=1) // fact[s].prod(axis=1)
+    numer, numer_exp = _float_parts(
+        (fact[s_totals] ** 2).prod(axis=1) // fact[s].prod(axis=1))
+    denom, denom_exp = _float_parts(fact[d].prod(axis=1))
     scale = np.array([_SECH ** (2 * spec.rank) * spec.scale_c ** (2 * pairs)
                       for pairs in range(cutoff_pairs + 1)])
-    head = scale[s.sum(axis=1)] * numer.astype(float)
-    probs = head[s_idx] / fact[d].prod(axis=1).astype(float)[d_idx]
-    return ProbabilityTable(spec, cutoff_pairs,
-                            np.concatenate([s[s_idx], d[d_idx]], axis=1), probs)
+    probs = (scale[s.sum(axis=1)] * numer)[s_idx]
+    probs /= denom[d_idx]
+    if numer_exp.any() or denom_exp.any():
+        probs = np.ldexp(probs, numer_exp[s_idx] - denom_exp[d_idx])
+    # Each side's columns go straight into the table at count width.
+    patterns = np.empty((len(s_idx), 8), dtype=np.min_scalar_type(cutoff_pairs))
+    np.take(s.astype(patterns.dtype), s_idx, axis=0, out=patterns[:, :4])
+    np.take(d.astype(patterns.dtype), d_idx, axis=0, out=patterns[:, 4:])
+    return ProbabilityTable(spec, cutoff_pairs, patterns, probs)
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,13 @@ def build_table_by_polynomial(spec, cutoff_pairs: int = engine.DEFAULT_CUTOFF_PA
             s_fact = 1
             for x in s:
                 s_fact *= fact[x]
-            entries[s + d] = scale * (coef * coef * s_fact) / d_fact
+            # Product first, each integer rounded to float once; past the
+            # float range as n / 2^e, with 2^e put back last.
+            numer = coef * coef * s_fact
+            e_numer, e_denom = (max(n.bit_length() - 1000, 0) for n in (numer, d_fact))
+            entries[s + d] = math.ldexp(
+                scale * (numer / 2 ** e_numer) / (d_fact / 2 ** e_denom),
+                e_numer - e_denom)
 
     def walk(i: int, budget: int, d: tuple[int, ...], poly: _Poly) -> None:
         if i == 4:

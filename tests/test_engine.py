@@ -189,6 +189,15 @@ def test_total_distribution_validates():
 DEEP_CUTOFFS = {1.0 - 1e-6: (25, 30, 34, 37), 1.0 - 1e-12: (50, 56, 61, 66)}
 
 
+@pytest.mark.parametrize("mass", [float("nan"), -0.01, 1.01, 2.0, float("inf")])
+def test_min_cutoff_for_mass_refuses_bad_mass_at_once(mass, monkeypatch):
+    def tail(*args):
+        raise AssertionError("a bad mass reached the tail")
+    monkeypatch.setattr(engine, "total_photon_tail", tail)
+    with pytest.raises(ValidationError, match="mass"):
+        engine.min_cutoff_for_mass(4, mass)
+
+
 @pytest.mark.parametrize("rank,cutoff", [(1, 8), (2, 11), (3, 14), (4, 17)])
 def test_min_cutoff_for_mass(rank, cutoff):
     assert engine.min_cutoff_for_mass(rank) == cutoff
@@ -253,7 +262,10 @@ def test_table_agrees_with_ryser_probabilities(specs_by_code):
 def assert_same_table(got, want):
     assert got.spec is want.spec
     assert got.cutoff_pairs == want.cutoff_pairs
-    assert got.patterns.dtype == want.patterns.dtype == np.int64
+    # The oracle's patterns are int64; the table's are counts at the
+    # cutoff's width, equal by value.
+    assert got.patterns.dtype == np.min_scalar_type(got.cutoff_pairs)
+    assert want.patterns.dtype == np.int64
     assert np.array_equal(got.patterns, want.patterns)
     assert got.probs.dtype == want.probs.dtype == np.float64
     assert np.array_equal(got.probs.view(np.uint64), want.probs.view(np.uint64))
@@ -293,8 +305,35 @@ def test_table_mode_permutation_covariance():
 
 def test_table_rejects_bad_cutoff():
     spec = embedding.make_embedding("0000000100")
-    with pytest.raises(ValidationError):
-        engine.build_table(spec, 0)
+    for cutoff in (0, -3, 2.5, "3", None):
+        with pytest.raises(ValidationError):
+            engine.build_table(spec, cutoff)
+
+
+@pytest.mark.parametrize("cutoff,dtype", [(255, np.uint8), (256, np.uint16)])
+def test_table_counts_widen_past_255_pairs(cutoff, dtype, specs_by_code):
+    # 1K2's table has cutoff + 1 rows; past 170 pairs its factorials leave
+    # the float range.
+    spec = specs_by_code["0000000100"]
+    table = engine.build_table(spec, cutoff)
+    assert table.patterns.dtype == dtype
+    assert len(table) == cutoff + 1
+    assert table.patterns.max() == cutoff
+    assert_same_table(table, build_table_by_polynomial(spec, cutoff))
+
+
+def test_table_build_peaks_below_3_mb():
+    # 53,559 patterns of 1K44 at 8 pairs: 428 KB of uint8 counts, 428 KB of
+    # probabilities, and a few int64 index arrays as long.
+    spec = embedding.make_embedding("1111111111")
+    tracemalloc.start()
+    try:
+        table = engine.build_table(spec, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 53559
+    assert peak < 3 * 2 ** 20
 
 
 def test_every_embeddable_spec_normalises_against_closed_form(embeddable):
